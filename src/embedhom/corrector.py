@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoefficientError
-from .fem import (LinearSolver, assemble_stiffness, build_mesh,
-                  reduce_coefficient)
+from .fem import (LinearSolver, assemble_vector, build_mesh, element_stiffness,
+                  reduce_coefficient, scatter_vector)
 from .matrices import check_admissible
 
 log = logging.getLogger(__name__)
@@ -65,8 +65,11 @@ class EmbeddedProblem:
 
     Holding the field-dependent quadrature reductions fixed, the stiffness
     matrix and load are cheap functions of the exterior matrix, which is what
-    estimator loops vary. The last assembled system is cached so the handful
-    of solves at one exterior matrix share a factorization.
+    estimator loops vary: K(A) = K_ball + sum_{a<=b} A_ab K_ab on one CSR
+    pattern. Those 1 + d(d+1)/2 parts are built once per problem, at the
+    first system() call (not in the constructor, so a problem that never
+    assembles pays nothing for them). The last assembled system is cached so
+    the handful of solves at one exterior matrix share a factorization.
     """
 
     def __init__(self, field, disc, rel1_threshold=REL1_DEFAULT_THRESHOLD,
@@ -91,43 +94,61 @@ class EmbeddedProblem:
         self.coeff_ball_total = self.coeff_ball.sum(axis=0)   # int_B A(x) dx
 
         # load ingredients: int_B A(x) grad(phi_i) and int_B grad(phi_i)
-        self.flux_basis = self._assemble_vector_block(
-            np.einsum("eab,elb->ela", self.coeff_ball, mesh.grads))
-        self.geom_basis = self._assemble_vector_block(
-            self.vol_ball[:, None, None] * mesh.grads)
+        self.flux_basis = assemble_vector(
+            mesh, np.einsum("eab,elb->ela", self.coeff_ball, mesh.grads))
+        self.geom_basis = assemble_vector(
+            mesh, self.vol_ball[:, None, None] * mesh.grads)
         # int_B phi_i dx, on all vertices, for the mean-zero shift
         mass = np.einsum("eq,ql->el", mesh.quad_w * mesh.in_ball, mesh.phi_q)
-        self.ball_mass = np.zeros(mesh.n_vertices)
-        np.add.at(self.ball_mass, mesh.elements.ravel(), mass.ravel())
+        self.ball_mass = scatter_vector(mesh.elements, mesh.n_vertices, mass)
 
+        self._parts = None
         self._system_cache = (None, None)
         self._warm = {}
         self.max_rel1_seen = 0.0
         self.solve_count = 0
 
-    def _assemble_vector_block(self, cell_values):
-        """Scatter (ne, nloc, d) element data to (n_dofs, d)."""
-        mesh = self.mesh
-        d = cell_values.shape[2]
-        out = np.zeros((mesh.n_dofs, d))
-        dofs = mesh.interior_pos[mesh.elements].ravel()
-        keep = dofs >= 0
-        vals = cell_values.reshape(-1, d)
-        np.add.at(out, dofs[keep], vals[keep])
-        return out
-
     # -- system pieces -----------------------------------------------------
 
+    def _stiffness_parts(self):
+        """CSR data of K_ball and of K_ab for each a <= b, on mesh.plan.
+
+        K_ab is the exterior stiffness for the symmetric unit direction
+        e_a e_b^T + e_b e_a^T (e_a e_a^T on the diagonal); its element
+        matrices vol_ext g_a (x) g_b are formed in closed form and are
+        bitwise symmetric, so every combination of the parts is too.
+        """
+        mesh = self.mesh
+        plan = mesh.plan
+        parts = [plan.matrix_data(element_stiffness(mesh, self.coeff_ball))]
+        g = mesh.grads
+        for a, b in zip(*np.triu_indices(self.dim)):
+            ke = self.vol_ext[:, None, None] * (g[:, :, a, None]
+                                                * g[:, None, :, b])
+            if a != b:
+                ke = ke + ke.swapaxes(1, 2)
+            parts.append(plan.matrix_data(ke))
+        return parts
+
     def system(self, exterior):
-        """LinearSolver for the composite coefficient with this exterior matrix."""
+        """LinearSolver for the composite coefficient with this exterior matrix.
+
+        The stiffness is K_ball + sum_{a<=b} A_ab K_ab: d(d+1)/2 axpys on the
+        parts' data arrays, which are built once per problem, at the first
+        call, and never rebuilt.
+        """
         exterior = check_admissible(np.asarray(exterior, dtype=float),
                                     self.bounds, what="exterior matrix")
         key = exterior.tobytes()
         if self._system_cache[0] == key:
             return self._system_cache[1]
-        reduced = self.coeff_ball + self.vol_ext[:, None, None] * exterior
-        K = assemble_stiffness(self.mesh, reduced)
-        solver = LinearSolver(K, self.disc)
+        if self._parts is None:
+            self._parts = self._stiffness_parts()
+        sym = 0.5 * (exterior + exterior.T)
+        data = self._parts[0].copy()
+        for part, coef in zip(self._parts[1:], sym[np.triu_indices(self.dim)]):
+            data += coef * part
+        solver = LinearSolver(self.mesh.plan.matrix(data), self.disc)
         self._system_cache = (key, solver)
         return solver
 

@@ -190,9 +190,20 @@ def maximize_trace(problem, options):
 def fd_gradient_check(problem, A, n_directions=3, eps=1e-5, seed=0):
     """Max relative error of the ascent direction against central differences.
 
-    Probes random symmetric directions; the step is shrunk so A +- eps E
-    stays admissible (the caller should pass an interior A).
+    Probes random symmetric directions E (unit Frobenius norm, so A +- eps E
+    moves each eigenvalue by at most eps). The check tests the gradient
+    formula, which any interior point does, so A's eigenvalues are first
+    clamped to [alpha + 2 eps, beta - 2 eps]; a start matrix on the cone
+    boundary then still has admissible probes. Returns NaN when the cone is
+    too thin (beta - alpha < 4 eps) to probe.
     """
+    bounds = problem.bounds
+    if bounds.beta - bounds.alpha < 4.0 * eps:
+        return float("nan")
+    eigs, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    inner = np.clip(eigs, bounds.alpha + 2.0 * eps, bounds.beta - 2.0 * eps)
+    if (inner != eigs).any():
+        A = (vecs * inner) @ vecs.T
     rng = np.random.default_rng(seed)
     _, grad = problem.trace_objective(A)
     d = A.shape[0]

@@ -9,6 +9,7 @@ which resolves the ball indicator to O(h) without any interface fitting.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,6 +84,11 @@ class Mesh:
         self.interior_idx = np.flatnonzero(~self.boundary)
         self.interior_pos = np.full(len(self.vertices), -1, dtype=np.int64)
         self.interior_pos[self.interior_idx] = np.arange(len(self.interior_idx))
+
+    @cached_property
+    def plan(self):
+        """Interior-dof ScatterPlan (Dirichlet vertices eliminated)."""
+        return scatter_plan(self.elements, self.interior_pos, self.n_dofs)
 
     @property
     def n_vertices(self):
@@ -244,34 +250,90 @@ def element_stiffness(mesh, coeff_reduced):
     return 0.5 * (ke + ke.swapaxes(1, 2))
 
 
-def assemble_stiffness(mesh, coeff_reduced):
-    """Assemble the interior-dof stiffness CSR from reduced coefficients.
+@dataclass(frozen=True)
+class ScatterPlan:
+    """Fixed CSR pattern for summing element matrices into global dofs.
 
-    Homogeneous Dirichlet rows/columns are eliminated, leaving an SPD system.
-    The element loop order is fixed, so the result is exactly symmetric.
+    slot holds the CSR slot of each entry of a flattened (ne, nloc, nloc)
+    stack of element matrices, or nnz (a discard bin) where the entry's row
+    or column is eliminated. Entries are summed in element order, so a stack
+    of symmetric element matrices gives a bitwise-symmetric matrix.
     """
-    ke = element_stiffness(mesh, coeff_reduced)
-    nloc = mesh.elements.shape[1]
-    dofs = mesh.interior_pos[mesh.elements]            # (ne, nloc)
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    vals = ke.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(mesh.n_dofs, mesh.n_dofs),
-    )
-    return K.tocsr()
+
+    n_dofs: int
+    indptr: np.ndarray          # (n_dofs + 1,)
+    indices: np.ndarray         # (nnz,)
+    slot: np.ndarray            # (ne * nloc * nloc,)
+
+    def matrix_data(self, ke):
+        """CSR data of an (ne, nloc, nloc) stack of element matrices."""
+        nnz = len(self.indices)
+        return np.bincount(self.slot, weights=ke.ravel(),
+                           minlength=nnz + 1)[:nnz]
+
+    def matrix(self, data):
+        """CSR matrix with this pattern and the given data array."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n_dofs, self.n_dofs))
 
 
-def assemble_vector(mesh, cell_loads):
-    """Scatter per-element local load vectors (ne, nloc) to interior dofs."""
-    out = np.zeros(mesh.n_dofs)
-    dofs = mesh.interior_pos[mesh.elements].ravel()
-    vals = cell_loads.ravel()
-    keep = dofs >= 0
-    np.add.at(out, dofs[keep], vals[keep])
-    return out
+def scatter_plan(elements, dof_map, n_dofs):
+    """ScatterPlan of the element matrices under a vertex -> dof map.
+
+    dof_map[v] is the dof of vertex v, or -1 where v is eliminated (a
+    Dirichlet vertex, or a pinned one). The plan comes from one sort of the
+    entry keys row * n + col; the steps reuse buffers where they can, since
+    at 10^5 dofs each entry-sized array is ~15 MiB.
+    """
+    n = n_dofs
+    dofs = dof_map[elements]
+    # an eliminated row or column lifts the key to >= n^2, past every kept one
+    row_key = np.where(dofs >= 0, dofs * n, n * n)[:, :, None]
+    col_key = np.where(dofs >= 0, dofs, n * n)[:, None, :]
+    keys = (row_key + col_key).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    del keys
+    first = np.empty(len(ordered), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    pattern = ordered[first]
+    pattern = pattern[pattern < n * n]
+    rank = np.cumsum(first, out=ordered)      # reuses the sorted keys' memory
+    rank -= 1
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = rank
+    np.minimum(slot, len(pattern), out=slot)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    return ScatterPlan(n, indptr, (pattern % n).astype(np.int32), slot)
+
+
+def assemble_stiffness(mesh, coeff_reduced, plan=None):
+    """Assemble the stiffness CSR from reduced coefficients.
+
+    The default plan is the mesh's interior-dof one: homogeneous Dirichlet
+    rows and columns are eliminated, leaving an SPD system that is exactly
+    symmetric.
+    """
+    plan = mesh.plan if plan is None else plan
+    return plan.matrix(plan.matrix_data(element_stiffness(mesh, coeff_reduced)))
+
+
+def scatter_vector(dofs, n_dofs, cell_values):
+    """Sum (ne, nloc, ...) element data into (n_dofs, ...); dof -1 drops."""
+    idx = dofs.ravel()
+    idx = np.where(idx >= 0, idx, n_dofs)
+    flat = cell_values.reshape(len(idx), -1)
+    out = np.stack([np.bincount(idx, weights=col, minlength=n_dofs + 1)[:-1]
+                    for col in flat.T], axis=1)
+    return out.reshape((n_dofs,) + cell_values.shape[2:])
+
+
+def assemble_vector(mesh, cell_values):
+    """Scatter per-element local data (ne, nloc, ...) to interior dofs."""
+    return scatter_vector(mesh.interior_pos[mesh.elements], mesh.n_dofs,
+                          cell_values)
 
 
 def assemble_system(mesh, coeff_fn, validate=True):
@@ -365,11 +427,23 @@ def solve_cg(K, F, tol=1e-10, max_iter=None, x0=None):
     return x, SolveStats("cg", count[0], residual)
 
 
+def sparse_lu(K):
+    """SuperLU factorization with a symmetric fill-reducing ordering.
+
+    The stiffness matrices here are SPD with a symmetric pattern, so a
+    minimum-degree ordering of A^T + A suits them; SuperLU's default
+    (COLAMD, meant for unsymmetric matrices) gives two to three times the
+    fill on the 2D box meshes.
+    """
+    return spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 class LinearSolver:
     """Reusable solver for one stiffness matrix and many loads.
 
-    method "direct" factorizes once (sparse LU) and back-substitutes per
-    load; "cg" runs Jacobi-preconditioned conjugate gradients per load.
+    method "direct" factorizes once (sparse LU, see sparse_lu) and
+    back-substitutes per load; "cg" runs Jacobi-preconditioned conjugate
+    gradients per load.
     """
 
     def __init__(self, K, disc):
@@ -378,7 +452,7 @@ class LinearSolver:
         n = K.shape[0]
         if disc.solver == "direct" or (disc.solver == "auto" and n <= DIRECT_DOF_CAP):
             self.method = "direct"
-            self._lu = spla.splu(K.tocsc())
+            self._lu = sparse_lu(K)
         else:
             self.method = "cg"
             self._lu = None

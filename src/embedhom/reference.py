@@ -13,11 +13,10 @@ Three families of ground truth for validating the embedded solver chain:
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import GeometryError, InvalidCoefficientError
-from .fem import box_mesh, element_stiffness, reduce_coefficient
+from .fem import (assemble_stiffness, box_mesh, reduce_coefficient,
+                  scatter_plan, scatter_vector, sparse_lu)
 from .fields import rescale
 
 # ---------------------------------------------------------------------------
@@ -174,36 +173,27 @@ def periodic_effective(field, R=1.0, divisions=64, quad_order=1):
     coeff = rescale(field, R) if R != 1.0 else field
     reduced = reduce_coefficient(mesh, coeff.evaluate)
 
-    # periodic identification: vertex (i, j) -> dof (i mod n, j mod n)
+    # periodic identification: vertex (i, j) -> cell vertex (i mod n, j mod n);
+    # cell vertex 0 is pinned to fix the constant, and its dof is dropped (-1)
     if field.dim == 1:
-        iv = np.arange(n + 1)
-        dof_of_vertex = iv % n
-        n_dofs = n
+        cell_vertex = np.arange(n + 1) % n
+        n_dofs = n - 1
     else:
         iv, jv = np.divmod(np.arange((n + 1) ** 2), n + 1)
-        dof_of_vertex = (iv % n) * n + (jv % n)
-        n_dofs = n * n
-
-    ke = element_stiffness(mesh, reduced)
-    dofs = dof_of_vertex[mesh.elements]
-    nloc = mesh.elements.shape[1]
-    rows = np.repeat(dofs, nloc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nloc)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
-
-    # pin dof 0 to fix the constant
-    keep = np.arange(1, n_dofs)
-    lu = spla.splu(K[keep][:, keep].tocsc())
+        cell_vertex = (iv % n) * n + (jv % n)
+        n_dofs = n * n - 1
+    dof_map = cell_vertex - 1
+    dofs = dof_map[mesh.elements]
+    lu = sparse_lu(assemble_stiffness(
+        mesh, reduced, scatter_plan(mesh.elements, dof_map, n_dofs)))
 
     d = field.dim
     out = np.empty((d, d))
     total = reduced.sum(axis=0)          # int_Q A(Rx) dx, |Q| = 1
     for k in range(d):
         cell_loads = -np.einsum("eld,ed->el", mesh.grads, reduced[:, :, k])
-        F = np.zeros(n_dofs)
-        np.add.at(F, dofs.ravel(), cell_loads.ravel())
-        w = np.zeros(n_dofs)
-        w[keep] = lu.solve(F[keep])
-        grad_w = np.einsum("eld,el->ed", mesh.grads, w[dofs])
+        x = lu.solve(scatter_vector(dofs, n_dofs, cell_loads))
+        w = np.append(x, 0.0)[dofs]     # dof -1 reads the pinned zero
+        grad_w = np.einsum("eld,el->ed", mesh.grads, w)
         out[:, k] = total[:, k] + np.einsum("eab,eb->a", reduced, grad_w)
     return out

@@ -11,6 +11,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,9 +94,7 @@ def run_point(cfg, sweep_value):
         base_field, embedded_field, disc, r_total, seed = \
             _point_inputs(cfg, sweep_value)
     except Exception as exc:   # field construction failed for this point
-        err = f"{type(exc).__name__}: {exc}"
-        return [{"method": m, "report": None, "error": err, "field": None,
-                 "seed": None, "rescale": None} for m in cfg.methods]
+        return _failed_point(cfg, f"{type(exc).__name__}: {exc}")
 
     problem = None
     anchor = None
@@ -144,6 +143,27 @@ def run_point(cfg, sweep_value):
     return results
 
 
+def _point_result(cfg, sweep_value, future):
+    """run_point's results from a worker, or one error per method if it died.
+
+    A worker killed from outside (e.g. by the OS when memory runs out)
+    breaks the pool, and every point not finished by then fails with it;
+    the finished points keep their results.
+    """
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        err = f"WorkerCrashed: {exc}"
+        log.error("sweep value %r lost: %s", sweep_value, err)
+        return _failed_point(cfg, err)
+
+
+def _failed_point(cfg, err):
+    """One error result per configured method, for a point that never ran."""
+    return [{"method": m, "report": None, "error": err, "field": None,
+             "seed": None, "rescale": None} for m in cfg.methods]
+
+
 def _report_filename(cfg, sweep_value, method):
     if cfg.sweep is None:
         return f"{method}.json"
@@ -189,7 +209,8 @@ def run_experiment(cfg, jobs=1, out_dir=None):
     if jobs > 1 and len(sweep_values) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(sweep_values))) as pool:
             futures = [pool.submit(run_point, cfg, v) for v in sweep_values]
-            point_results = [f.result() for f in futures]
+            point_results = [_point_result(cfg, v, f)
+                             for v, f in zip(sweep_values, futures)]
     else:
         point_results = [run_point(cfg, v) for v in sweep_values]
 

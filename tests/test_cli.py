@@ -1,10 +1,13 @@
 """End-to-end command line runs on small problems."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
+from embedhom import runner
 from embedhom.cli import main
 
 HOMOGENEOUS = """\
@@ -224,6 +227,37 @@ def test_run_partial_failure_keeps_going(tmp_path, capsys):
     report = json.loads((out_dir / "h_9.0_naive.json").read_text())
     assert report["error"] is not None
     assert report["report"] is None
+
+
+_real_run_point = runner.run_point
+
+
+def _run_point_or_die(cfg, sweep_value):
+    """run_point stand-in whose worker is killed at R = 16."""
+    if sweep_value == 16:
+        time.sleep(2.0)      # let the other worker hand back its point first
+        os._exit(1)
+    return _real_run_point(cfg, sweep_value)
+
+
+def test_run_crashed_worker_keeps_finished_points(tmp_path, monkeypatch):
+    # a worker that dies breaks the pool: the lost point gets an error
+    # report per method, finished points keep theirs, and the exit code is 3
+    monkeypatch.setattr(runner, "run_point", _run_point_or_die)
+    text = CHECKER_SWEEP.replace("values: [2, 4, 8, 16]", "values: [2, 16]")
+    path = write(tmp_path, text)
+    out_dir = tmp_path / "crashed"
+    assert main(["run", path, "--out-dir", str(out_dir), "--jobs", "2"]) == 3
+    _, rows = read_csv(out_dir / "results.csv")
+    assert [r[0] for r in rows] == ["2", "2", "16", "16"]
+    assert all(r[2] != "NaN" for r in rows[:2])
+    assert all(r[2] == "NaN" for r in rows[2:])
+    for method in ("naive", "periodic_ref"):
+        good = json.loads((out_dir / f"R_2_{method}.json").read_text())
+        assert good["error"] is None and good["report"] is not None
+        lost = json.loads((out_dir / f"R_16_{method}.json").read_text())
+        assert lost["error"].startswith("WorkerCrashed: ")
+        assert lost["report"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from embedhom.corrector import EmbeddedProblem, corrector_energy, solve_embedded
 from embedhom.errors import InvalidCoefficientError
-from embedhom.fem import Discretization
+from embedhom.fem import Discretization, assemble_stiffness
 from embedhom.fields import make_checkerboard, make_constant, make_one_dim_piecewise
 from embedhom.matrices import EllipticityBounds
 
@@ -178,6 +178,30 @@ def test_system_cache_and_solve_count():
     before = prob.solve_count
     prob.energy_matrix(ext)
     assert prob.solve_count - before == 3
+
+
+@pytest.mark.parametrize("dim, exterior", [
+    (2, np.diag([1.5, 3.0])),
+    (2, np.array([[2.0, 0.7], [0.7, 1.2]])),
+    (1, np.array([[2.5]])),
+])
+def test_system_matches_direct_assembly(dim, exterior):
+    # K(A) = K_ball + sum A_ab K_ab must reproduce the stiffness assembled
+    # from the composite coefficient, stay bitwise symmetric, and solve
+    if dim == 2:
+        prob = checkerboard_problem(seed=6)
+    else:
+        field = make_one_dim_piecewise([-0.4, 0.3], [1.0, 4.0, 2.0], BOUNDS)
+        prob = EmbeddedProblem(field, DISC_1D)
+    solver = prob.system(exterior)
+    K = solver.K
+    direct = assemble_stiffness(
+        prob.mesh, prob.coeff_ball + prob.vol_ext[:, None, None] * exterior)
+    assert abs(K - direct).max() <= 1e-12 * abs(direct).max()
+    assert abs(K - K.T).max() == 0
+    assert solver.method == "direct"
+    _, stats = solver.solve(prob.load(exterior, np.eye(dim)[0]))
+    assert stats.residual <= 1e-12
 
 
 def test_rel1_flag_and_tracking():

@@ -155,6 +155,21 @@ def test_fd_gradient_check_small():
     assert err < 1e-4
 
 
+def test_fd_check_at_cone_boundary_start():
+    # the start matrix 1 I sits on the lower edge of [1, 4]; the gradient
+    # check must probe from inside the cone instead of raising
+    field = make_constant(1.0, EllipticityBounds(1.0, 4.0), dim=2)
+    rep = estimate_energy_min(field, Discretization(dim=2, L=2.0, h=0.1),
+                              OptimizerOptions(fd_check=True))
+    assert rep.metadata["fd_check_rel_err"] < 1e-4
+    assert "fd_gradient_mismatch" not in rep.flags
+    # a one-point cone (alpha = beta) has no interior to probe from
+    point = make_constant(2.0, EllipticityBounds(2.0, 2.0), dim=2)
+    rep = estimate_energy_min(point, Discretization(dim=2, L=2.0, h=0.2),
+                              OptimizerOptions(fd_check=True))
+    assert np.isnan(rep.metadata["fd_check_rel_err"])
+
+
 def test_anchor_reuse_skips_ascent():
     prob = checkerboard_problem(seed=3)
     opts = OptimizerOptions(grad_tol=1e-4)
@@ -250,6 +265,11 @@ def test_fd_check_option_records_metadata():
     )
     assert rep.metadata["fd_check_rel_err"] < 1e-4
     assert "fd_gradient_mismatch" not in rep.flags
+    # a one-point cone (alpha = beta) has no interior to probe from
+    point = make_constant(2.0, EllipticityBounds(2.0, 2.0), dim=2)
+    rep = estimate_energy_min(point, Discretization(dim=2, L=2.0, h=0.2),
+                              OptimizerOptions(fd_check=True))
+    assert np.isnan(rep.metadata["fd_check_rel_err"])
 
 
 def test_periodic_ref_report():
