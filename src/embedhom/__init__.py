@@ -12,7 +12,7 @@ reference for comparison.
 __version__ = "0.1.0"
 
 from .corrector import (CorrectorSolution, EmbeddedProblem, energy_matrix,
-                        flux_average_matrix, solve_embedded)
+                        solve_embedded)
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      EmbedHomError, GeometryError, InvalidCoefficientError)
 from .estimators import (METHODS, BisectOptions, EffectiveMatrixReport,
@@ -40,7 +40,7 @@ __all__ = [
     "eshelby_corrector", "eshelby_trace_g", "estimate_averaged",
     "estimate_energy_min", "estimate_naive", "estimate_periodic_ref",
     "estimate_self_consistent", "estimate_self_consistent_scalar",
-    "flux_average_matrix", "harmonic_mean_1d", "make_checkerboard",
+    "harmonic_mean_1d", "make_checkerboard",
     "make_constant", "make_inclusions", "make_laminate",
     "make_one_dim_piecewise", "periodic_effective", "project_to_admissible",
     "rescale", "solve_embedded",

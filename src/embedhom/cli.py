@@ -1,7 +1,8 @@
 """Command-line front end: `embedhom run|validate <config>`.
 
 Exit codes: 0 success, 2 config error (unreadable file, schema violation,
-bad override), 3 solver failure during a run (partial reports are kept).
+bad override) or an output directory that cannot be made, 3 solver failure
+during a run (partial reports are kept).
 Logging verbosity comes from EMBEDHOM_LOG in {error, warn, info, debug}.
 """
 
@@ -9,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from .config import load_config
@@ -80,7 +82,13 @@ def main(argv=None):
     if args.jobs < 1:
         print("embedhom: --jobs must be >= 1", file=sys.stderr)
         return 2
-    return run_experiment(cfg, jobs=args.jobs, out_dir=args.out_dir)
+    out_dir = Path(args.out_dir if args.out_dir is not None else cfg.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)   # before any solve
+    except OSError as exc:
+        print(f"embedhom: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    return run_experiment(cfg, jobs=args.jobs, out_dir=out_dir)
 
 
 if __name__ == "__main__":

@@ -2,30 +2,32 @@
 
 A config is one YAML (or JSON) document describing a field, the estimator
 methods to run, discretization and iteration options, an optional sweep over
-one parameter, and output paths. Validation errors cite the offending key
-path and its source line, and `resolved()` returns the fully defaulted tree
-that is printed by `embedhom validate` and hashed into report provenance.
+one parameter, and output paths. One table, `_SCHEMA`, states each key's
+type, default and check once; it drives parsing, unknown-key rejection and
+`resolved()`, the defaulted tree that `embedhom validate` prints and reports
+hash. Validation errors cite the offending key path and its source line.
 """
 
+import copy
+import dataclasses
 import hashlib
 import json
+import os
 import re
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, EmbedHomError
+from .errors import ConfigError, EmbedHomError, GeometryError
 from .estimators import METHODS, BisectOptions, FixedPointOptions, OptimizerOptions
 from .fem import Discretization
 from .fields import (make_checkerboard, make_constant, make_inclusions,
                      make_laminate, make_one_dim_piecewise)
-from .matrices import EllipticityBounds
+from .matrices import EllipticityBounds, as_spd, check_admissible
 
-FIELD_KINDS = ("constant", "laminate", "checkerboard", "inclusions",
-               "one_dim_piecewise")
 SWEEP_PARAMETERS = ("R", "L", "h", "seed")
-RANDOM_KINDS = ("checkerboard", "inclusions")
 
 # YAML 1.1 reads dot-less scientific notation ("1e-8") as a string
 _SCI_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)[eE][+-]?\d+\Z")
@@ -64,13 +66,245 @@ def _line_map(text):
     return lines
 
 
+# ---------------------------------------------------------------------------
+# the schema
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()     # default of a key that must be given
+
+
+@dataclass
+class _Key:
+    """One config key.
+
+    types: a type or tuple of types, or a parser(chk, path, value, ctx);
+    None for an option key, whose types and default are those of its
+    section's dataclass field. check(value) returns an error message or
+    None. attr: the ExperimentConfig attribute, for a key not kept on a
+    section object.
+    """
+
+    types: object = None
+    default: object = _REQUIRED
+    check: object = None
+    attr: str = None
+
+    def __post_init__(self):
+        if isinstance(self.types, type):
+            self.types = (self.types,)
+
+
+class _Section(typing.NamedTuple):
+    """A section parsed into one object, kept as an ExperimentConfig attribute."""
+
+    attr: str
+    cls: type
+    optional: bool = False   # absent or null: the attribute is None
+
+
+def _check(ok, message):
+    """A check-column entry: message (formatted with v) where ok(v) fails."""
+    return lambda v: None if ok(v) else message.format(v=v)
+
+
+def _one_of(choices):
+    return _check(lambda v: v in choices,
+                  f"must be one of {sorted(choices)}, got {{v!r}}")
+
+
+_POSITIVE = _check(lambda v: v > 0, "must be positive, got {v!r}")
+
+
+def _law(probs):
+    """Check of a list of probabilities."""
+    if not all(type(p) in (int, float) for p in probs):
+        return "probabilities must be numbers"
+    if abs(sum(probs) - 1.0) > 1e-12 or any(p < 0 for p in probs):
+        return (f"probabilities must be nonnegative and sum to 1 within "
+                f"1e-12 (sum = {sum(probs)!r})")
+    return None
+
+
+def _matrix(chk, path, value, ctx):
+    """A scalar (meaning scalar * identity) or a dim x dim nested list."""
+    dim = ctx["dim"]
+    if isinstance(value, bool):
+        chk.fail(path, "expected a number or matrix")
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, list):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            chk.fail(path, f"matrix entries must be numbers: {value!r}")
+        if arr.shape != (dim, dim):
+            chk.fail(path, f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
+        return arr.tolist()
+    chk.fail(path, f"expected a number or {dim}x{dim} matrix, "
+                   f"got {type(value).__name__}")
+
+
+def _matrices(chk, path, value, ctx):
+    if not isinstance(value, list) or not value:
+        chk.fail(path, "required: a non-empty list of scalars or matrices")
+    return [_matrix(chk, path + (i,), v, ctx) for i, v in enumerate(value)]
+
+
+def _admissible_matrix(chk, path, value, ctx):
+    """A _matrix whose spectrum lies within the bounds."""
+    value = _matrix(chk, path, value, ctx)
+    try:
+        check_admissible(as_spd(value, ctx["dim"]), ctx["bounds"])
+    except EmbedHomError as exc:
+        chk.fail(path, str(exc))
+    return value
+
+
+_MATRIX = _Key(_matrix)
+_VALUES = _Key(_matrices)
+_LAW = _Key(list, check=_law)
+_SEED = _Key(int)
+
+# field kind -> (constructor, its keys besides kind, bounds and dim); the
+# keys are the constructor's keyword names, in resolved-tree order
+_FIELD_KINDS = {
+    "constant": (make_constant, {"matrix": _MATRIX}),
+    "checkerboard": (make_checkerboard, {
+        "values": _VALUES, "probabilities": _LAW, "seed": _SEED}),
+    "inclusions": (make_inclusions, {
+        "exterior": _MATRIX, "interior_values": _VALUES,
+        "interior_probabilities": _LAW, "r_min": _Key(float),
+        "r_max": _Key(float), "jitter": _Key(bool, True), "seed": _SEED}),
+    "laminate": (make_laminate, {
+        "a1": _MATRIX, "a2": _MATRIX, "axis": _Key(int, 0),
+        "period": _Key(float, 1.0)}),
+    # the only kind fixed to dim 1; its constructor takes no dim
+    "one_dim_piecewise": (make_one_dim_piecewise, {
+        "breakpoints": _Key(list), "values": _VALUES}),
+}
+RANDOM_KINDS = tuple(k for k, (_, keys) in _FIELD_KINDS.items()
+                     if "seed" in keys)
+
+
+def _field_spec(chk, path, raw, ctx):
+    if not isinstance(raw, dict):
+        chk.fail(path, f"expected a mapping, got {type(raw).__name__}")
+    kind = chk.value(path + ("kind",),
+                     _Key(str, check=_one_of(tuple(_FIELD_KINDS))), ctx)
+    if kind == "one_dim_piecewise" and ctx["dim"] != 1:
+        chk.fail(path + ("kind",), "one_dim_piecewise requires dim: 1")
+    keys = _FIELD_KINDS[kind][1]
+    chk.reject_unknown(path, raw, {"kind", *keys})
+    return {"kind": kind, **{k: chk.value(path + (k,), key, ctx)
+                             for k, key in keys.items()}}
+
+
+def _methods(chk, path, value, ctx):
+    if not isinstance(value, (str, list)):
+        chk.fail(path, f"expected str or list, got {type(value).__name__}")
+    methods = value if isinstance(value, list) else [value]
+    if methods == ["all"]:
+        methods = list(METHODS)
+    if not methods:
+        chk.fail(path, "needs at least one method")
+    for m in methods:
+        if m not in METHODS:
+            chk.fail(path, f"unknown method {m!r} "
+                     f"(known: {list(METHODS) + ['all']})")
+    if len(set(methods)) != len(methods):
+        chk.fail(path, "duplicate methods")
+    return methods
+
+
+@dataclass
+class Sweep:
+    parameter: str
+    values: list
+
+
+_SECTIONS = {
+    "bounds": _Section("bounds", EllipticityBounds),
+    "discretization": _Section("disc", Discretization),
+    "optimizer": _Section("optimizer", OptimizerOptions),
+    "fixed_point": _Section("fixed_point", FixedPointOptions),
+    "bisect": _Section("bisect", BisectOptions),
+    "sweep": _Section("sweep", Sweep, optional=True),
+}
+
+# Every accepted key path, in resolved-tree order. The option sections name
+# only the keys a config may set; their other dataclass fields (the
+# discretization's dim, optimizer min_step, fixed-point initial_guess) keep
+# their defaults and stay out of the resolved tree and its hash.
+_SCHEMA = {
+    "name": _Key(str, "experiment"),
+    "dim": _Key(int, check=_one_of((1, 2))),
+    "bounds.alpha": _Key(float),
+    "bounds.beta": _Key(float),
+    "field": _Key(_field_spec, attr="field_spec"),
+    "method": _Key(_methods, "all", attr="methods"),
+    "rescale": _Key(float, 1.0, _POSITIVE),
+    "naive_exterior": _Key(_admissible_matrix, None),
+    "discretization.L": _Key(check=_check(
+        lambda v: v >= 2.0, "L = {v}: the unit ball must be strictly interior "
+                            "to the truncated box, which needs L >= 2")),
+    "discretization.h": _Key(),
+    "discretization.quad_order": _Key(),
+    "discretization.cg_tol": _Key(),
+    "discretization.cg_max_iter": _Key(check=_POSITIVE),
+    "discretization.solver": _Key(),
+    "discretization.max_vertices": _Key(check=_POSITIVE),
+    "periodic.divisions": _Key(int, 64, _check(lambda v: v >= 2, "must be >= 2"),
+                               attr="periodic_divisions"),
+    "optimizer.max_iters": _Key(check=_POSITIVE),
+    "optimizer.grad_tol": _Key(check=_POSITIVE),
+    "optimizer.initial_step": _Key(check=_POSITIVE),
+    "optimizer.backtrack": _Key(check=_check(lambda v: 0 < v < 1,
+                                             "must be in (0, 1)")),
+    "optimizer.sufficient_increase": _Key(),
+    "optimizer.fd_check": _Key(),
+    "fixed_point.damping": _Key(),
+    "fixed_point.max_iters": _Key(check=_POSITIVE),
+    "fixed_point.tol": _Key(check=_POSITIVE),
+    "bisect.tol": _Key(check=_POSITIVE),
+    "bisect.max_iters": _Key(check=_POSITIVE),
+    "bisect.bracket_tol": _Key(check=_POSITIVE),
+    "sweep.parameter": _Key(str, check=_one_of(SWEEP_PARAMETERS)),
+    "sweep.values": _Key(list, check=_check(bool, "sweep needs at least one value")),
+    "output.dir": _Key(str, "out", attr="output_dir"),
+    "output.csv": _Key(str, "results.csv", _check(
+        lambda v: v not in ("", ".", "..") and os.path.basename(v) == v,
+        "must be a file name without a directory part, got {v!r}"),
+        attr="csv_name"),
+}
+
+
+def _tree(schema):
+    """Group the key paths: top-level key -> _Key, section -> {key: _Key};
+    fill in the option keys' types and defaults from their dataclasses."""
+    tree = {}
+    for path, key in schema.items():
+        section, _, name = path.partition(".")
+        if not name:
+            tree[section] = key
+            continue
+        tree.setdefault(section, {})[name] = key
+        if key.types is None:
+            cls = _SECTIONS[section].cls
+            field = {f.name: f for f in dataclasses.fields(cls)}[name]
+            key.types = typing.get_args(field.type) or (field.type,)
+            key.default = field.default
+    return tree
+
+
+_TREE = _tree(_SCHEMA)
+
+
 class _Checker:
     """Typed accessors over the raw tree, erroring with key path and line."""
 
     def __init__(self, data, lines):
         self.data = data
         self.lines = lines
-        self.seen = set()
 
     def fail(self, path, message):
         loc = ".".join(str(p) for p in path) or "(top level)"
@@ -83,43 +317,39 @@ class _Checker:
         for part in path:
             if isinstance(node, dict) and part in node:
                 node = node[part]
-            elif (isinstance(node, list) and isinstance(part, int)
-                  and 0 <= part < len(node)):
-                node = node[part]
             else:
                 return None, False
         return node, True
 
-    def get(self, path, types, default=None, required=False, choices=None):
+    def value(self, path, key, ctx):
+        """The parsed and checked value of one key, or its default."""
         value, present = self.lookup(path)
-        self.seen.add(tuple(path))
         if not present:
-            if required:
+            if key.default is _REQUIRED:
                 self.fail(path, "required key is missing")
-            return default
-        if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        wrong_type = types is not None and not isinstance(value, types)
-        # bool is an int subclass; never accept it for numeric keys
-        bool_as_number = isinstance(value, bool) and types in (int, float)
-        if wrong_type or bool_as_number:
-            self.fail(path, f"expected {getattr(types, '__name__', types)}, "
-                            f"got {type(value).__name__}: {value!r}")
-        if choices is not None and value not in choices:
-            self.fail(path, f"must be one of {sorted(choices)}, got {value!r}")
+            if key.default is None:
+                return None
+            value = key.default
+        if callable(key.types):
+            value = key.types(self, path, value, ctx)
+        else:
+            if float in key.types and type(value) is int:
+                value = float(value)
+            # bool is an int subclass; never accept it for numeric keys
+            if not isinstance(value, key.types) or (
+                    type(value) is bool and bool not in key.types):
+                names = " | ".join(t.__name__ for t in key.types)
+                self.fail(path, f"expected {names}, "
+                                f"got {type(value).__name__}: {value!r}")
+        if key.check and value is not None and (message := key.check(value)):
+            self.fail(path, message)
         return value
 
-    def warn_unknown(self, path, mapping, known):
+    def reject_unknown(self, path, mapping, known):
         for key in mapping:
             if key not in known:
                 self.fail(path + (key,), f"unknown key {key!r} "
                           f"(known: {sorted(known)})")
-
-
-@dataclass
-class Sweep:
-    parameter: str
-    values: list
 
 
 @dataclass
@@ -144,47 +374,16 @@ class ExperimentConfig:
 
     def resolved(self):
         """Canonical defaulted tree (printed by validate, hashed for reports)."""
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "bounds": {"alpha": self.bounds.alpha, "beta": self.bounds.beta},
-            "field": self.field_spec,
-            "method": list(self.methods),
-            "rescale": self.rescale,
-            "naive_exterior": self.naive_exterior,
-            "discretization": {
-                "L": self.disc.L, "h": self.disc.h,
-                "quad_order": self.disc.quad_order,
-                "cg_tol": self.disc.cg_tol,
-                "cg_max_iter": self.disc.cg_max_iter,
-                "solver": self.disc.solver,
-                "max_vertices": self.disc.max_vertices,
-            },
-            "periodic": {"divisions": self.periodic_divisions},
-            "optimizer": {
-                "max_iters": self.optimizer.max_iters,
-                "grad_tol": self.optimizer.grad_tol,
-                "initial_step": self.optimizer.initial_step,
-                "backtrack": self.optimizer.backtrack,
-                "sufficient_increase": self.optimizer.sufficient_increase,
-                "fd_check": self.optimizer.fd_check,
-            },
-            "fixed_point": {
-                "damping": self.fixed_point.damping,
-                "max_iters": self.fixed_point.max_iters,
-                "tol": self.fixed_point.tol,
-            },
-            "bisect": {
-                "tol": self.bisect.tol,
-                "max_iters": self.bisect.max_iters,
-                "bracket_tol": self.bisect.bracket_tol,
-            },
-            "sweep": None if self.sweep is None else {
-                "parameter": self.sweep.parameter,
-                "values": list(self.sweep.values),
-            },
-            "output": {"dir": self.output_dir, "csv": self.csv_name},
-        }
+        tree = {}
+        for name, entry in _TREE.items():
+            if isinstance(entry, _Key):
+                tree[name] = getattr(self, entry.attr or name)
+                continue
+            section = _SECTIONS.get(name)
+            obj = self if section is None else getattr(self, section.attr)
+            tree[name] = None if obj is None else {
+                k: getattr(obj, key.attr or k) for k, key in entry.items()}
+        return copy.deepcopy(tree)
 
     def config_hash(self):
         blob = json.dumps(self.resolved(), sort_keys=True).encode()
@@ -193,109 +392,44 @@ class ExperimentConfig:
     def build_field(self, seed=None):
         """Instantiate the coefficient field, optionally overriding the seed."""
         spec = dict(self.field_spec)
-        kind = spec["kind"]
+        kind = spec.pop("kind")
         if seed is not None:
             if kind not in RANDOM_KINDS:
                 raise ConfigError(
                     f"cannot override seed: field kind {kind!r} is deterministic"
                 )
             spec["seed"] = int(seed)
-        b, d = self.bounds, self.dim
-        if kind == "constant":
-            return make_constant(spec["matrix"], b, dim=d)
-        if kind == "checkerboard":
-            return make_checkerboard(spec["values"], spec["probabilities"],
-                                     spec["seed"], b, dim=d)
-        if kind == "inclusions":
-            return make_inclusions(spec["exterior"], spec["interior_values"],
-                                   spec["interior_probabilities"],
-                                   spec["r_min"], spec["r_max"], spec["seed"],
-                                   b, dim=d, jitter=spec["jitter"])
-        if kind == "laminate":
-            return make_laminate(spec["a1"], spec["a2"], spec["axis"],
-                                 spec["period"], b, dim=d)
-        if kind == "one_dim_piecewise":
-            return make_one_dim_piecewise(spec["breakpoints"], spec["values"], b)
-        raise ConfigError(f"unknown field kind {kind!r}")
+        if kind != "one_dim_piecewise":
+            spec["dim"] = self.dim
+        return _FIELD_KINDS[kind][0](bounds=self.bounds, **spec)
 
 
-def _matrix_entry(chk, path, dim, required=True, default=None):
-    """Accept a scalar (meaning scalar * identity) or a dim x dim nested list."""
-    value, present = chk.lookup(path)
-    chk.seen.add(tuple(path))
-    if not present:
-        if required:
-            chk.fail(path, "required key is missing")
-        return default
-    if isinstance(value, bool):
-        chk.fail(path, "expected a number or matrix")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, list):
-        arr = np.asarray(value, dtype=object)
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            chk.fail(path, f"matrix entries must be numbers: {value!r}")
-        if arr.shape != (dim, dim):
-            chk.fail(path, f"expected a {dim}x{dim} matrix, got shape {arr.shape}")
-        return arr.tolist()
-    chk.fail(path, f"expected a number or {dim}x{dim} matrix, "
-                   f"got {type(value).__name__}")
-
-
-def _values_list(chk, path, dim):
-    values, present = chk.lookup(path)
-    chk.seen.add(tuple(path))
-    if not present or not isinstance(values, list) or not values:
-        chk.fail(path, "required: a non-empty list of scalars or matrices")
-    return [_matrix_entry(chk, tuple(path) + (i,), dim)
-            for i in range(len(values))]
-
-
-def _field_spec(chk, dim):
-    kind = chk.get(("field", "kind"), str, required=True, choices=FIELD_KINDS)
-    spec = {"kind": kind}
-    raw = chk.get(("field",), dict, required=True)
-    if kind == "constant":
-        spec["matrix"] = _matrix_entry(chk, ("field", "matrix"), dim)
-        chk.warn_unknown(("field",), raw, {"kind", "matrix"})
-    elif kind == "checkerboard":
-        spec["values"] = _values_list(chk, ("field", "values"), dim)
-        spec["probabilities"] = chk.get(("field", "probabilities"), list,
-                                        required=True)
-        spec["seed"] = chk.get(("field", "seed"), int, required=True)
-        chk.warn_unknown(("field",), raw,
-                         {"kind", "values", "probabilities", "seed"})
-    elif kind == "inclusions":
-        spec["exterior"] = _matrix_entry(chk, ("field", "exterior"), dim)
-        spec["interior_values"] = _values_list(
-            chk, ("field", "interior_values"), dim)
-        spec["interior_probabilities"] = chk.get(
-            ("field", "interior_probabilities"), list, required=True)
-        spec["r_min"] = chk.get(("field", "r_min"), float, required=True)
-        spec["r_max"] = chk.get(("field", "r_max"), float, required=True)
-        spec["jitter"] = chk.get(("field", "jitter"), bool, default=True)
-        spec["seed"] = chk.get(("field", "seed"), int, required=True)
-        chk.warn_unknown(("field",), raw,
-                         {"kind", "exterior", "interior_values",
-                          "interior_probabilities", "r_min", "r_max",
-                          "jitter", "seed"})
-    elif kind == "laminate":
-        spec["a1"] = _matrix_entry(chk, ("field", "a1"), dim)
-        spec["a2"] = _matrix_entry(chk, ("field", "a2"), dim)
-        spec["axis"] = chk.get(("field", "axis"), int, default=0)
-        spec["period"] = chk.get(("field", "period"), float, default=1.0)
-        chk.warn_unknown(("field",), raw,
-                         {"kind", "a1", "a2", "axis", "period"})
-    elif kind == "one_dim_piecewise":
-        if dim != 1:
-            chk.fail(("field", "kind"), "one_dim_piecewise requires dim: 1")
-        spec["breakpoints"] = chk.get(("field", "breakpoints"), list,
-                                      required=True)
-        spec["values"] = _values_list(chk, ("field", "values"), dim)
-        chk.warn_unknown(("field",), raw, {"kind", "breakpoints", "values"})
-    return spec
+def _check_points(chk, cfg):
+    """Checks across keys: every sweep point and the field must build."""
+    sweep = cfg.sweep
+    if sweep is not None:
+        if sweep.parameter == "seed" and cfg.field_spec["kind"] not in RANDOM_KINDS:
+            chk.fail(("sweep", "parameter"),
+                     f"cannot sweep seed: field kind {cfg.field_spec['kind']!r} "
+                     f"is deterministic")
+        for i, v in enumerate(sweep.values):
+            path = ("sweep", "values", i)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                chk.fail(path, f"not a number: {v!r}")
+            if sweep.parameter == "seed" and not isinstance(v, int):
+                chk.fail(path, "seed values must be integers")
+            if sweep.parameter == "R" and v <= 0:
+                chk.fail(path, "R values must be positive")
+            if sweep.parameter in ("L", "h"):
+                # the runner builds each point's discretization the same way
+                try:
+                    dataclasses.replace(cfg.disc, **{sweep.parameter: float(v)})
+                except GeometryError as exc:
+                    chk.fail(path, str(exc))
+    try:
+        cfg.build_field()
+    except EmbedHomError as exc:
+        chk.fail(("field",), str(exc))
 
 
 def parse_config(text, apply_overrides=()):
@@ -332,158 +466,37 @@ def parse_config(text, apply_overrides=()):
 
     data = _coerce_numbers(data)
     chk = _Checker(data, lines)
-    name = chk.get(("name",), str, default="experiment")
-    dim = chk.get(("dim",), int, required=True, choices=(1, 2))
-    alpha = chk.get(("bounds", "alpha"), float, required=True)
-    beta = chk.get(("bounds", "beta"), float, required=True)
-    try:
-        bounds = EllipticityBounds(alpha, beta)
-    except EmbedHomError as exc:
-        chk.fail(("bounds",), str(exc))
+    chk.reject_unknown((), data, _TREE)
+    # ExperimentConfig's arguments, filled in schema order, so a parser can
+    # read the keys before its own (dim, bounds)
+    ctx = {}
+    for name, entry in _TREE.items():
+        path = (name,)
+        if isinstance(entry, _Key):
+            ctx[entry.attr or name] = chk.value(path, entry, ctx)
+            continue
+        raw, _ = chk.lookup(path)
+        section = _SECTIONS.get(name)
+        if raw is None and section is not None and section.optional:
+            ctx[section.attr] = None
+            continue
+        if raw is not None and not isinstance(raw, dict):
+            chk.fail(path, f"expected a mapping, got {type(raw).__name__}")
+        chk.reject_unknown(path, raw or {}, entry)
+        values = {key.attr or k: chk.value(path + (k,), key, ctx)
+                  for k, key in entry.items()}
+        if section is None:
+            ctx.update(values)
+            continue
+        if section.cls is Discretization:
+            values["dim"] = ctx["dim"]
+        try:
+            ctx[section.attr] = section.cls(**values)
+        except (EmbedHomError, ValueError) as exc:
+            chk.fail(path, str(exc))
 
-    field_spec = _field_spec(chk, dim)
-    probs_key = ("probabilities" if field_spec["kind"] == "checkerboard"
-                 else "interior_probabilities")
-    if probs_key in field_spec:
-        probs = field_spec[probs_key]
-        if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                   for p in probs):
-            chk.fail(("field", probs_key), "probabilities must be numbers")
-        if abs(sum(probs) - 1.0) > 1e-12 or any(p < 0 for p in probs):
-            chk.fail(("field", probs_key),
-                     f"probabilities must be nonnegative and sum to 1 "
-                     f"within 1e-12 (sum = {sum(probs)!r})")
-
-    method_raw = chk.get(("method",), (str, list), default="all")
-    methods = method_raw if isinstance(method_raw, list) else [method_raw]
-    if methods == ["all"]:
-        methods = list(METHODS)
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            chk.fail(("method",), f"unknown method {m!r} "
-                     f"(known: {list(METHODS) + ['all']})")
-    if len(set(methods)) != len(methods):
-        chk.fail(("method",), "duplicate methods")
-
-    rescale = chk.get(("rescale",), float, default=1.0)
-    if rescale <= 0:
-        chk.fail(("rescale",), f"rescale factor must be positive, got {rescale}")
-    naive_exterior = _matrix_entry(chk, ("naive_exterior",), dim,
-                                   required=False)
-
-    L = chk.get(("discretization", "L"), float, default=5.0)
-    if L < 2.0:
-        chk.fail(("discretization", "L"),
-                 f"L = {L}: the unit ball must be strictly interior to the "
-                 f"truncated box, which needs L >= 2")
-    disc_kwargs = {
-        "dim": dim,
-        "L": L,
-        "h": chk.get(("discretization", "h"), float, default=0.05),
-        "quad_order": chk.get(("discretization", "quad_order"), int, default=2),
-        "cg_tol": chk.get(("discretization", "cg_tol"), float, default=1e-10),
-        "cg_max_iter": chk.get(("discretization", "cg_max_iter"), int,
-                               default=None),
-        "solver": chk.get(("discretization", "solver"), str, default="auto",
-                          choices=("auto", "cg", "direct")),
-        "max_vertices": chk.get(("discretization", "max_vertices"), int,
-                                default=4_000_000),
-    }
-    try:
-        disc = Discretization(**disc_kwargs)
-    except EmbedHomError as exc:
-        chk.fail(("discretization",), str(exc))
-
-    periodic_divisions = chk.get(("periodic", "divisions"), int, default=64)
-    if periodic_divisions < 2:
-        chk.fail(("periodic", "divisions"), "must be >= 2")
-
-    optimizer = OptimizerOptions(
-        max_iters=chk.get(("optimizer", "max_iters"), int, default=200),
-        grad_tol=chk.get(("optimizer", "grad_tol"), float, default=1e-6),
-        initial_step=chk.get(("optimizer", "initial_step"), float, default=0.5),
-        backtrack=chk.get(("optimizer", "backtrack"), float, default=0.5),
-        sufficient_increase=chk.get(("optimizer", "sufficient_increase"),
-                                    float, default=1e-4),
-        fd_check=chk.get(("optimizer", "fd_check"), bool, default=False),
-    )
-    if not 0 < optimizer.backtrack < 1:
-        chk.fail(("optimizer", "backtrack"), "must be in (0, 1)")
-    try:
-        fixed_point = FixedPointOptions(
-            damping=chk.get(("fixed_point", "damping"), float, default=0.5),
-            max_iters=chk.get(("fixed_point", "max_iters"), int, default=100),
-            tol=chk.get(("fixed_point", "tol"), float, default=1e-8),
-        )
-    except ValueError as exc:
-        chk.fail(("fixed_point", "damping"), str(exc))
-    bisect = BisectOptions(
-        tol=chk.get(("bisect", "tol"), float, default=1e-6),
-        max_iters=chk.get(("bisect", "max_iters"), int, default=60),
-        bracket_tol=chk.get(("bisect", "bracket_tol"), float, default=1e-3),
-    )
-
-    sweep = None
-    sweep_raw, has_sweep = chk.lookup(("sweep",))
-    if has_sweep and sweep_raw is not None:
-        parameter = chk.get(("sweep", "parameter"), str, required=True,
-                            choices=SWEEP_PARAMETERS)
-        values = chk.get(("sweep", "values"), list, required=True)
-        if not values:
-            chk.fail(("sweep", "values"), "sweep needs at least one value")
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                chk.fail(("sweep", "values", i), f"not a number: {v!r}")
-            if parameter == "seed" and not isinstance(v, int):
-                chk.fail(("sweep", "values", i), "seed values must be integers")
-        if parameter == "seed" and field_spec["kind"] not in RANDOM_KINDS:
-            chk.fail(("sweep", "parameter"),
-                     f"cannot sweep seed: field kind {field_spec['kind']!r} "
-                     f"is deterministic")
-        if parameter in ("R", "h") and any(v <= 0 for v in values):
-            chk.fail(("sweep", "values"), f"{parameter} values must be positive")
-        if parameter == "L" and any(v < 2 for v in values):
-            chk.fail(("sweep", "values"),
-                     "L values must be >= 2 (unit ball strictly interior)")
-        sweep = Sweep(parameter=parameter, values=list(values))
-
-    output_dir = chk.get(("output", "dir"), str, default="out")
-    csv_name = chk.get(("output", "csv"), str, default="results.csv")
-
-    chk.warn_unknown((), data, {
-        "name", "dim", "bounds", "field", "method", "rescale",
-        "naive_exterior", "discretization", "periodic", "optimizer",
-        "fixed_point", "bisect", "sweep", "output",
-    })
-    section_keys = {
-        "bounds": {"alpha", "beta"},
-        "discretization": {"L", "h", "quad_order", "cg_tol", "cg_max_iter",
-                           "solver", "max_vertices"},
-        "periodic": {"divisions"},
-        "optimizer": {"max_iters", "grad_tol", "initial_step", "backtrack",
-                      "sufficient_increase", "fd_check"},
-        "fixed_point": {"damping", "max_iters", "tol"},
-        "bisect": {"tol", "max_iters", "bracket_tol"},
-        "sweep": {"parameter", "values"},
-        "output": {"dir", "csv"},
-    }
-    for section, known in section_keys.items():
-        raw, present = chk.lookup((section,))
-        if present and isinstance(raw, dict):
-            chk.warn_unknown((section,), raw, known)
-
-    cfg = ExperimentConfig(
-        name=name, dim=dim, bounds=bounds, field_spec=field_spec,
-        methods=methods, rescale=rescale, naive_exterior=naive_exterior,
-        disc=disc, periodic_divisions=periodic_divisions, optimizer=optimizer,
-        fixed_point=fixed_point, bisect=bisect, sweep=sweep,
-        output_dir=output_dir, csv_name=csv_name,
-    )
-    # cross-check that the field spec actually builds
-    try:
-        cfg.build_field()
-    except EmbedHomError as exc:
-        chk.fail(("field",), str(exc))
+    cfg = ExperimentConfig(**ctx)
+    _check_points(chk, cfg)
     return cfg
 
 

@@ -22,6 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidCoefficientError
 from .fem import (LinearSolver, assemble_vector, build_mesh, element_stiffness,
@@ -53,11 +54,6 @@ class CorrectorSolution:
     stats: object
     ball_mean: float = 0.0      # ball average of the raw Dirichlet solution
     flags: tuple = ()
-
-
-def corrector_energy(solution):
-    """(energy, energy_alt, residual_rel1) of a solved corrector."""
-    return solution.energy, solution.energy_alt, solution.residual_rel1
 
 
 class EmbeddedProblem:
@@ -102,7 +98,7 @@ class EmbeddedProblem:
         mass = np.einsum("eq,ql->el", mesh.quad_w * mesh.in_ball, mesh.phi_q)
         self.ball_mass = scatter_vector(mesh.elements, mesh.n_vertices, mass)
 
-        self._parts = None
+        self._pattern = self._parts = None
         self._system_cache = (None, None)
         self._warm = {}
         self.max_rel1_seen = 0.0
@@ -111,15 +107,17 @@ class EmbeddedProblem:
     # -- system pieces -----------------------------------------------------
 
     def _stiffness_parts(self):
-        """CSR data of K_ball and of K_ab for each a <= b, on mesh.plan.
+        """The interior CSR pattern (indices, indptr), and the CSR data of
+        K_ball and of K_ab for each a <= b on it.
 
         K_ab is the exterior stiffness for the symmetric unit direction
         e_a e_b^T + e_b e_a^T (e_a e_a^T on the diagonal); its element
         matrices vol_ext g_a (x) g_b are formed in closed form and are
-        bitwise symmetric, so every combination of the parts is too.
+        bitwise symmetric, so every combination of the parts is too. The
+        scatter plan's per-entry slots are dropped once the parts are built.
         """
         mesh = self.mesh
-        plan = mesh.plan
+        plan = mesh.interior_plan()
         parts = [plan.matrix_data(element_stiffness(mesh, self.coeff_ball))]
         g = mesh.grads
         for a, b in zip(*np.triu_indices(self.dim)):
@@ -128,7 +126,7 @@ class EmbeddedProblem:
             if a != b:
                 ke = ke + ke.swapaxes(1, 2)
             parts.append(plan.matrix_data(ke))
-        return parts
+        return (plan.indices, plan.indptr), parts
 
     def system(self, exterior):
         """LinearSolver for the composite coefficient with this exterior matrix.
@@ -143,17 +141,25 @@ class EmbeddedProblem:
         if self._system_cache[0] == key:
             return self._system_cache[1]
         if self._parts is None:
-            self._parts = self._stiffness_parts()
+            self._pattern, self._parts = self._stiffness_parts()
         sym = 0.5 * (exterior + exterior.T)
         data = self._parts[0].copy()
         for part, coef in zip(self._parts[1:], sym[np.triu_indices(self.dim)]):
             data += coef * part
-        solver = LinearSolver(self.mesh.plan.matrix(data), self.disc)
+        n = self.mesh.n_dofs
+        K = sp.csr_matrix((data, *self._pattern), shape=(n, n))
+        solver = LinearSolver(K, self.disc)
         self._system_cache = (key, solver)
         return solver
 
     def load(self, exterior, p):
-        """Interior load from the coefficient contrast inside the ball."""
+        """Interior load F_i = -int_B grad(phi_i) . (A(x) - A_ext) p dx.
+
+        This is the volume form of the interface forcing: the surface pairing
+        of the exterior flux A_ext p . n over the ball boundary equals
+        int_B A_ext p . grad(v) by the divergence theorem (A_ext constant),
+        so only the coefficient contrast inside the ball loads the system.
+        """
         return -self.flux_basis @ p + self.geom_basis @ (exterior @ p)
 
     # -- solving and energies ----------------------------------------------
@@ -295,7 +301,3 @@ def energy_matrix(field, exterior, disc):
     problem = EmbeddedProblem(field, disc)
     G, _ = problem.energy_matrix(exterior)
     return G
-
-
-def flux_average_matrix(field, exterior, disc):
-    return EmbeddedProblem(field, disc).flux_average(exterior)

@@ -9,7 +9,6 @@ which resolves the ball indicator to O(h) without any interface fitting.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,9 +84,12 @@ class Mesh:
         self.interior_pos = np.full(len(self.vertices), -1, dtype=np.int64)
         self.interior_pos[self.interior_idx] = np.arange(len(self.interior_idx))
 
-    @cached_property
-    def plan(self):
-        """Interior-dof ScatterPlan (Dirichlet vertices eliminated)."""
+    def interior_plan(self):
+        """Interior-dof ScatterPlan (Dirichlet vertices eliminated).
+
+        Built afresh on each call and not kept: its per-entry slot array is
+        as large as a stack of element matrices.
+        """
         return scatter_plan(self.elements, self.interior_pos, self.n_dofs)
 
     @property
@@ -316,7 +318,7 @@ def assemble_stiffness(mesh, coeff_reduced, plan=None):
     rows and columns are eliminated, leaving an SPD system that is exactly
     symmetric.
     """
-    plan = mesh.plan if plan is None else plan
+    plan = mesh.interior_plan() if plan is None else plan
     return plan.matrix(plan.matrix_data(element_stiffness(mesh, coeff_reduced)))
 
 
@@ -334,51 +336,6 @@ def assemble_vector(mesh, cell_values):
     """Scatter per-element local data (ne, nloc, ...) to interior dofs."""
     return scatter_vector(mesh.interior_pos[mesh.elements], mesh.n_dofs,
                           cell_values)
-
-
-def assemble_system(mesh, coeff_fn, validate=True):
-    """Stiffness matrix for an arbitrary pointwise coefficient (spec surface).
-
-    Validates SPD-ness at every quadrature point unless disabled.
-    """
-    reduced = reduce_coefficient(mesh, coeff_fn, validate=validate)
-    return assemble_stiffness(mesh, reduced)
-
-
-def assemble_load(mesh, field, exterior, p):
-    """Load vector F_i = -int_B grad(phi_i) . (A(x) - A_ext) p dx.
-
-    This is the volume form of the interface forcing: the surface pairing of
-    the exterior flux A_ext p . n over the ball boundary equals
-    int_B A_ext p . grad(v) by the divergence theorem (A_ext constant), so
-    only the coefficient contrast inside the ball loads the system.
-    """
-    p = np.asarray(p, dtype=float)
-    contrast = reduce_coefficient(
-        mesh, lambda pts: field.evaluate(pts) - exterior, mask=mesh.in_ball
-    )
-    cell_loads = -np.einsum("eld,edc,c->el", mesh.grads, contrast, p)
-    return assemble_vector(mesh, cell_loads)
-
-
-def integrate(mesh, values, region="ball"):
-    """Integrate per-quadrature values over a region of the box.
-
-    values: (ne, nq) per quadrature point, (ne,) per element, or scalar.
-    region: "ball" (|x| <= 1), "exterior" (box minus ball), or "all".
-    """
-    if region == "ball":
-        w = mesh.quad_w * mesh.in_ball
-    elif region == "exterior":
-        w = mesh.quad_w * ~mesh.in_ball
-    elif region == "all":
-        w = mesh.quad_w
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    return float(np.sum(w * values))
 
 
 # ---------------------------------------------------------------------------

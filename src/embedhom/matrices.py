@@ -31,9 +31,6 @@ class EllipticityBounds:
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 
-    def scaled(self, c):
-        return EllipticityBounds(c * self.alpha, c * self.beta)
-
 
 def as_spd(value, dim):
     """Coerce a scalar or array-like into a (dim, dim) float matrix.
@@ -62,7 +59,7 @@ def check_admissible(mat, bounds, tol=1e-10, what="matrix"):
         raise InvalidCoefficientError(f"{what} is not square: shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
     if np.abs(mat - mat.T).max() > SYMMETRY_TOL * scale:
-        raise InvalidCoefficientError(f"{what} is not symmetric: {mat!r}")
+        raise InvalidCoefficientError(f"{what} is not symmetric: {mat.tolist()}")
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] < bounds.alpha - tol or eigs[-1] > bounds.beta + tol:
         raise InvalidCoefficientError(
@@ -89,12 +86,3 @@ def project_to_admissible(mat, bounds):
     eigs, vecs = np.linalg.eigh(sym)
     clamped = np.clip(eigs, bounds.alpha, bounds.beta)
     return (vecs * clamped) @ vecs.T
-
-
-def random_admissible(dim, bounds, rng):
-    """Draw a random matrix from M (Haar eigenvectors, uniform eigenvalues)."""
-    eigs = rng.uniform(bounds.alpha, bounds.beta, size=dim)
-    if dim == 1:
-        return np.array([[eigs[0]]])
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return (q * eigs) @ q.T

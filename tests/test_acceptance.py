@@ -372,6 +372,7 @@ def r_sweep_run(tmp_path_factory):
             "elapsed": time.perf_counter() - t0}
 
 
+@pytest.mark.slow
 @_criterion(9)
 def test_criterion_09_ball_radius_convergence(capsys, r_sweep_run):
     # growing the heterogeneity radius R must shrink the seed-to-seed spread
@@ -395,6 +396,7 @@ def test_criterion_09_ball_radius_convergence(capsys, r_sweep_run):
     )
 
 
+@pytest.mark.slow
 @_criterion(10)
 def test_criterion_10_rerun_determinism(capsys, r_sweep_run, tmp_path_factory):
     # identical configs must reproduce every CSV byte-for-byte outside the

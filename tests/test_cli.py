@@ -38,6 +38,69 @@ def read_csv(path):
 # ---------------------------------------------------------------------------
 
 
+# `embedhom validate` output for HOMOGENEOUS, byte for byte: key order and
+# number formatting are pinned along with the values
+HOMOGENEOUS_RESOLVED = """\
+{
+  "name": "homogeneous-check",
+  "dim": 2,
+  "bounds": {
+    "alpha": 1,
+    "beta": 4
+  },
+  "field": {
+    "kind": "constant",
+    "matrix": 2
+  },
+  "method": [
+    "naive",
+    "energy_min",
+    "averaged",
+    "self_consistent",
+    "self_consistent_scalar",
+    "periodic_ref"
+  ],
+  "rescale": 1,
+  "naive_exterior": null,
+  "discretization": {
+    "L": 2,
+    "h": 0.25,
+    "quad_order": 2,
+    "cg_tol": 1e-10,
+    "cg_max_iter": null,
+    "solver": "auto",
+    "max_vertices": 4000000
+  },
+  "periodic": {
+    "divisions": 8
+  },
+  "optimizer": {
+    "max_iters": 200,
+    "grad_tol": 9.9999999999999995e-07,
+    "initial_step": 0.5,
+    "backtrack": 0.5,
+    "sufficient_increase": 0.0001,
+    "fd_check": false
+  },
+  "fixed_point": {
+    "damping": 0.5,
+    "max_iters": 100,
+    "tol": 1e-08
+  },
+  "bisect": {
+    "tol": 9.9999999999999995e-07,
+    "max_iters": 60,
+    "bracket_tol": 0.001
+  },
+  "sweep": null,
+  "output": {
+    "dir": "out",
+    "csv": "results.csv"
+  }
+}
+"""
+
+
 def test_validate_prints_resolved_tree(tmp_path, capsys):
     path = write(tmp_path, HOMOGENEOUS)
     assert main(["validate", path]) == 0
@@ -46,6 +109,7 @@ def test_validate_prints_resolved_tree(tmp_path, capsys):
     assert '"h": 0.25' in out
     assert '"grad_tol": 9.9999999999999995e-07' in out   # full 17-digit floats
     assert f"ok: {path} (hash " in out
+    assert out == HOMOGENEOUS_RESOLVED + f"ok: {path} (hash 5ff08e9dbe4a71d4)\n"
 
 
 def test_validate_rejects_small_box(tmp_path, capsys):
@@ -79,6 +143,23 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     path = write(tmp_path, HOMOGENEOUS)
     assert main(["run", path, "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_run_rejects_unusable_output_paths(tmp_path, capsys):
+    # each ends before any solve, with exit 2 and no traceback
+    path = write(tmp_path, HOMOGENEOUS)
+    out_dir = str(tmp_path / "out")
+    for csv in ("''", "sub/x.csv"):
+        assert main(["run", path, "--out-dir", out_dir,
+                     "--override", f"output.csv={csv}"]) == 2
+        err = capsys.readouterr().err
+        assert "embedhom: config error: output.csv" in err
+        assert "must be a file name" in err
+    a_file = tmp_path / "taken"
+    a_file.write_text("")
+    assert main(["run", path, "--out-dir", str(a_file)]) == 2
+    assert "embedhom: cannot write outputs: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +291,28 @@ sweep:
 
 
 def test_run_partial_failure_keeps_going(tmp_path, capsys):
-    # second sweep point is invalid (h > L); its rows turn into NaN and the
-    # exit code flips to 3, but the first point still writes real numbers
+    # the second sweep point's mesh is over the vertex cap, which only mesh
+    # building sees: its naive row turns into NaN and the exit code flips to
+    # 3, but its periodic_ref row (no mesh) and the first point still write
+    # real numbers
     text = CHECKER_SWEEP.replace(
+        "discretization: {L: 2.0, h: 0.25}",
+        "discretization: {L: 2.0, h: 0.25, max_vertices: 500}").replace(
         "  parameter: R\n  values: [2, 4, 8, 16]",
-        "  parameter: h\n  values: [0.5, 9.0]")
+        "  parameter: h\n  values: [0.5, 0.1]")
     path = write(tmp_path, text)
     out_dir = tmp_path / "partial"
+    assert main(["validate", path]) == 0
     assert main(["run", path, "--out-dir", str(out_dir)]) == 3
     _, rows = read_csv(out_dir / "results.csv")
     assert len(rows) == 4
     good = [r for r in rows if r[0].startswith("0.5")]
-    bad = [r for r in rows if r[0] == "9"]
-    assert all(r[2] != "NaN" for r in good)
-    assert all(r[2] == "NaN" for r in bad)
-    report = json.loads((out_dir / "h_9.0_naive.json").read_text())
-    assert report["error"] is not None
+    bad = [r for r in rows if r[0].startswith("0.1")]
+    assert [r[1] for r in bad] == ["naive", "periodic_ref"]
+    assert all(r[2] != "NaN" for r in good + bad[1:])
+    assert bad[0][2] == "NaN"
+    report = json.loads((out_dir / "h_0.1_naive.json").read_text())
+    assert "vertices" in report["error"]
     assert report["report"] is None
 
 

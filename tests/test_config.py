@@ -1,7 +1,11 @@
 """Config parsing: defaults, validation messages with line numbers, overrides."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from embedhom import config
 from embedhom.config import load_config, parse_config
 from embedhom.errors import ConfigError
 
@@ -47,6 +51,67 @@ def test_resolved_tree_and_hash_stability():
     assert c.config_hash() != a.config_hash()
     assert a.resolved()["discretization"]["h"] == 0.05
     assert a.resolved()["sweep"] is None
+    # the schema's output for fixed inputs, pinned: a key added, dropped or
+    # renamed, or a default changed, changes these hashes
+    assert a.config_hash() == "d94f69032d801f76"
+    assert parse(RCONV_POINT).config_hash() == "dcb1df93b8b109ae"
+    assert parse(FIXED_POINTS).config_hash() == "048ab03fa60e0e5f"
+
+
+# the benchmark's two CLI configs (perfbench/workloads.py) at their default
+# sizes: field seeds 11 and 5
+RCONV_POINT = """\
+name: rconv-point
+dim: 2
+bounds: {alpha: 1.0, beta: 4.0}
+field:
+  kind: checkerboard
+  values: [1.0, 4.0]
+  probabilities: [0.5, 0.5]
+  seed: 11
+method: [energy_min, periodic_ref]
+rescale: 8.0
+discretization: {L: 4.0, h: 0.0625}
+periodic: {divisions: 64}
+optimizer: {grad_tol: 0.001}
+"""
+
+FIXED_POINTS = """\
+name: fixed-points
+dim: 2
+bounds: {alpha: 1.0, beta: 5.0}
+field:
+  kind: inclusions
+  exterior: 1.0
+  interior_values: [5.0, [[3.0, 1.0], [1.0, 2.0]]]
+  interior_probabilities: [0.5, 0.5]
+  r_min: 0.2
+  r_max: 0.4
+  seed: 5
+method: all
+rescale: 3.0
+discretization: {L: 3.0, h: 0.05}
+periodic: {divisions: 64}
+"""
+
+
+def test_readme_names_every_config_key():
+    # every key path the schema accepts, field keys under their kind's bullet
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Config file", 1)[1].split("\n### ", 1)[0]
+    bullets = re.split(r"\n\s*- ", section)
+
+    def named(head, key):
+        return any(b.startswith(f"`{head}`") and f"`{key}`" in b
+                   for b in bullets)
+
+    for path in config._SCHEMA:
+        head, _, key = path.rpartition(".")
+        assert f"`{path}`" in section or f"`{path}." in section \
+            or named(head, key), path
+    for kind, (_, keys) in config._FIELD_KINDS.items():
+        for key in keys:
+            assert named(kind, key), f"field.{key} of kind {kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +127,16 @@ def test_small_box_rejected_with_line():
     assert "discretization.L" in msg
     assert "(line 9)" in msg
     assert "unit ball must be strictly interior" in msg
+    # the schema's check column: tolerances, steps, caps and sizes > 0
+    for section, key in [("optimizer", "grad_tol"), ("optimizer", "initial_step"),
+                         ("optimizer", "max_iters"), ("fixed_point", "tol"),
+                         ("fixed_point", "max_iters"), ("bisect", "tol"),
+                         ("bisect", "bracket_tol"), ("bisect", "max_iters"),
+                         ("discretization", "cg_max_iter"),
+                         ("discretization", "max_vertices")]:
+        with pytest.raises(ConfigError) as exc:
+            parse(MINIMAL + f"{section}:\n  {key}: 0\n")
+        assert f"{section}.{key} (line 9): must be positive" in str(exc.value)
 
 
 def test_inverted_bounds_rejected_with_line():
@@ -104,6 +179,9 @@ def test_unknown_method_and_duplicates():
     with pytest.raises(ConfigError) as exc:
         parse(MINIMAL + "method: [naive, naive]\n")
     assert "duplicate" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        parse(MINIMAL + "method: []\n")
+    assert "method (line 8): needs at least one method" in str(exc.value)
 
 
 def test_single_method_and_explicit_list():
@@ -183,6 +261,11 @@ def test_sweep_validation():
         parse(SWEEPABLE + "sweep:\n  parameter: L\n  values: [1.5]\n")
     assert ">= 2" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
+        parse(SWEEPABLE + "discretization: {L: 4.0}\n"
+              "sweep:\n  parameter: h\n  values: [0.5, 10.0]\n")
+    msg = str(exc.value)
+    assert "sweep.values.1 (line 11)" in msg and "h=10.0" in msg
+    with pytest.raises(ConfigError) as exc:
         parse(SWEEPABLE + "sweep:\n  parameter: seed\n  values: [0.5]\n")
     assert "integers" in str(exc.value)
     with pytest.raises(ConfigError) as exc:
@@ -242,3 +325,10 @@ def test_naive_exterior_forms():
     assert parse(MINIMAL + "naive_exterior: 2.5\n").naive_exterior == 2.5
     cfg = parse(MINIMAL + "naive_exterior: [[2.0, 0.0], [0.0, 3.0]]\n")
     assert cfg.naive_exterior == [[2.0, 0.0], [0.0, 3.0]]
+    # the matrix the naive estimate would use must be admissible
+    for value, message in [("5.0", "outside [1, 4]"),
+                           ("[[2.0, 0.5], [0.0, 3.0]]", "not symmetric")]:
+        with pytest.raises(ConfigError) as exc:
+            parse(MINIMAL + f"naive_exterior: {value}\n")
+        assert "naive_exterior (line 8)" in str(exc.value)
+        assert message in str(exc.value)

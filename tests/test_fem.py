@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import ConvergenceError, GeometryError, InvalidCoefficientError
 from embedhom.fem import (
     DIRECT_DOF_CAP,
     Discretization,
     LinearSolver,
-    assemble_load,
     assemble_stiffness,
-    assemble_system,
     assemble_vector,
     build_mesh,
-    integrate,
     reduce_coefficient,
     solve_cg,
 )
@@ -72,22 +70,16 @@ def test_triangles_positive_and_cover_box():
 def test_measure_exact_both_quadratures():
     for order in (1, 2):
         mesh = mesh_2d(h=0.4, quad_order=order)
-        assert np.isclose(integrate(mesh, 1.0, "all"), 16.0, atol=1e-12)
+        assert np.isclose(mesh.quad_w.sum(), 16.0, atol=1e-12)
 
 
 def test_ball_area_near_pi():
     mesh = mesh_2d(L=2.0, h=0.02)
-    area = integrate(mesh, 1.0, "ball")
+    area = (mesh.quad_w * mesh.in_ball).sum()
     assert abs(area - np.pi) < 4 * 0.02
     # complement is exact by construction
-    ext = integrate(mesh, 1.0, "exterior")
+    ext = (mesh.quad_w * ~mesh.in_ball).sum()
     assert np.isclose(area + ext, 16.0, atol=1e-12)
-
-
-def test_integrate_unknown_region():
-    mesh = mesh_2d(h=1.0)
-    with pytest.raises(ValueError):
-        integrate(mesh, 1.0, "shell")
 
 
 def test_linear_function_gradients_exact():
@@ -143,7 +135,8 @@ def test_1d_constant_stencil():
     disc = Discretization(dim=1, L=2.0, h=0.5)
     mesh = build_mesh(disc)
     field = make_constant(1.0, BOUNDS, dim=1)
-    K = assemble_system(mesh, field.evaluate).toarray()
+    K = assemble_stiffness(
+        mesh, reduce_coefficient(mesh, field.evaluate, validate=True)).toarray()
     n = mesh.n_dofs
     expect = (np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -1.0), 1)
               + np.diag(np.full(n - 1, -1.0), -1)) / 0.5
@@ -153,7 +146,8 @@ def test_1d_constant_stencil():
 def test_stiffness_exactly_symmetric():
     mesh = mesh_2d(L=2.0, h=0.1)
     field = make_checkerboard([1.0, 4.0], [0.5, 0.5], seed=7, bounds=BOUNDS)
-    K = assemble_system(mesh, field.evaluate)
+    K = assemble_stiffness(
+        mesh, reduce_coefficient(mesh, field.evaluate, validate=True))
     assert (K - K.T).nnz == 0
 
 
@@ -182,7 +176,7 @@ def test_spd_validation_rejects_bad_coefficients():
         return out
 
     with pytest.raises(InvalidCoefficientError):
-        assemble_system(mesh, nonsym)
+        reduce_coefficient(mesh, nonsym, validate=True)
 
     def indefinite(pts):
         out = np.zeros((len(pts), 2, 2))
@@ -191,15 +185,15 @@ def test_spd_validation_rejects_bad_coefficients():
         return out
 
     with pytest.raises(InvalidCoefficientError):
-        assemble_system(mesh, indefinite)
+        reduce_coefficient(mesh, indefinite, validate=True)
 
 
 def test_load_vanishes_without_contrast():
     # exterior constant equal to the field: interface forcing cancels exactly
-    mesh = mesh_2d(h=0.5)
     A = np.array([[2.0, 0.3], [0.3, 1.5]])
     field = make_constant(A, BOUNDS)
-    F = assemble_load(mesh, field, A, np.array([1.0, 0.0]))
+    problem = EmbeddedProblem(field, Discretization(dim=2, L=2.0, h=0.5))
+    F = problem.load(A, np.array([1.0, 0.0]))
     assert np.allclose(F, 0.0, atol=1e-14)
 
 
@@ -227,7 +221,7 @@ def poisson_error(n):
         return np.sin(k * pts[:, 0]) * np.sin(k * pts[:, 1])
 
     field = make_constant(1.0, BOUNDS, dim=2)
-    K = assemble_system(mesh, field.evaluate, validate=False)
+    K = assemble_stiffness(mesh, reduce_coefficient(mesh, field.evaluate))
     f_q = 2.0 * k * k * exact(mesh.quad_x.reshape(-1, 2)).reshape(mesh.quad_w.shape)
     cell_loads = np.einsum("eq,ql->el", mesh.quad_w * f_q, mesh.phi_q)
     F = assemble_vector(mesh, cell_loads)
@@ -254,7 +248,8 @@ def small_system():
     disc = Discretization(dim=2, L=2.0, h=0.2)
     mesh = build_mesh(disc)
     field = make_checkerboard([1.0, 4.0], [0.5, 0.5], seed=1, bounds=BOUNDS)
-    K = assemble_system(mesh, field.evaluate)
+    K = assemble_stiffness(
+        mesh, reduce_coefficient(mesh, field.evaluate, validate=True))
     rng = np.random.default_rng(0)
     F = rng.standard_normal(K.shape[0])
     return disc, K, F
