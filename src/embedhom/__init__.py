@@ -11,11 +11,10 @@ reference for comparison.
 
 __version__ = "0.1.0"
 
-from .corrector import (CorrectorSolution, EmbeddedProblem, energy_matrix,
-                        solve_embedded)
+from .corrector import CorrectorSolution, EmbeddedProblem
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      EmbedHomError, GeometryError, InvalidCoefficientError)
-from .estimators import (METHODS, BisectOptions, EffectiveMatrixReport,
+from .estimators import (BisectOptions, EffectiveMatrixReport,
                          FixedPointOptions, OptimizerOptions,
                          estimate_averaged, estimate_energy_min,
                          estimate_naive, estimate_periodic_ref,
@@ -28,6 +27,7 @@ from .fields import (CoefficientField, make_checkerboard, make_constant,
 from .matrices import EllipticityBounds, project_to_admissible
 from .reference import (Harmonic1DModel, analytic_j_1d, eshelby_corrector,
                         eshelby_trace_g, harmonic_mean_1d, periodic_effective)
+from .runner import METHODS
 
 __all__ = [
     "__version__",
@@ -36,12 +36,12 @@ __all__ = [
     "EffectiveMatrixReport", "EllipticityBounds", "EmbedHomError",
     "EmbeddedProblem", "FixedPointOptions", "GeometryError",
     "Harmonic1DModel", "InvalidCoefficientError", "METHODS", "Mesh",
-    "OptimizerOptions", "analytic_j_1d", "build_mesh", "energy_matrix",
+    "OptimizerOptions", "analytic_j_1d", "build_mesh",
     "eshelby_corrector", "eshelby_trace_g", "estimate_averaged",
     "estimate_energy_min", "estimate_naive", "estimate_periodic_ref",
     "estimate_self_consistent", "estimate_self_consistent_scalar",
     "harmonic_mean_1d", "make_checkerboard",
     "make_constant", "make_inclusions", "make_laminate",
     "make_one_dim_piecewise", "periodic_effective", "project_to_admissible",
-    "rescale", "solve_embedded",
+    "rescale",
 ]

@@ -21,11 +21,12 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, EmbedHomError, GeometryError
-from .estimators import METHODS, BisectOptions, FixedPointOptions, OptimizerOptions
+from .estimators import BisectOptions, FixedPointOptions, OptimizerOptions
 from .fem import Discretization
 from .fields import (make_checkerboard, make_constant, make_inclusions,
                      make_laminate, make_one_dim_piecewise)
 from .matrices import EllipticityBounds, as_spd, check_admissible
+from .runner import METHODS
 
 SWEEP_PARAMETERS = ("R", "L", "h", "seed")
 

@@ -218,29 +218,36 @@ class EmbeddedProblem:
     def dim(self):
         return self.disc.dim
 
-    def directions(self):
-        return np.eye(self.disc.dim)
+    def _unit_solves(self, exterior):
+        """(solution, element gradients of w) for each unit slope e_i, in
+        order, on one system."""
+        solver = self.system(exterior)
+        out = []
+        for p in np.eye(self.dim):
+            sol = self.solve(exterior, p, solver=solver)
+            out.append((sol, self.mesh.element_gradients(sol.w)))
+        return out
 
     def energy_matrix(self, exterior):
         """Symmetric matrix G with p.G(A)p = corrector energy at slope p.
 
-        Diagonal entries come from unit slopes, off-diagonals from slope sums
-        by polarization; d(d+1)/2 solves on one system.
+        The corrector of slope p is sum_j p_j w_j, and the energy is bilinear
+        in (slope, corrector), so p.G q = p.B q with
+        B = (A_tot + int_B A(x) grad W - A_ext^T int_B grad W) / |B|, where
+        column j of grad W is grad w_j. B is symmetric at the exact discrete
+        solution; G keeps the unit-slope energies on its diagonal and takes
+        (B + B^T)/2 off it. d solves on one system.
         """
-        d = self.disc.dim
-        solver = self.system(exterior)
-        G = np.zeros((d, d))
-        sols = []
-        for i in range(d):
-            sol = self.solve(exterior, np.eye(d)[i], solver=solver)
-            G[i, i] = sol.energy
-            sols.append(sol)
-        for i in range(d):
-            for j in range(i + 1, d):
-                pij = np.eye(d)[i] + np.eye(d)[j]
-                sol = self.solve(exterior, pij, solver=solver)
-                G[i, j] = G[j, i] = 0.5 * (sol.energy - G[i, i] - G[j, j])
-                sols.append(sol)
+        exterior = np.asarray(exterior, dtype=float)
+        units = self._unit_solves(exterior)
+        grad_W = np.stack([grad_w for _, grad_w in units], axis=-1)
+        B = (self.coeff_ball_total
+             + np.einsum("eab,ebj->aj", self.coeff_ball, grad_W)
+             - exterior.T @ np.einsum("e,eaj->aj", self.vol_ball, grad_W)
+             ) / self.ball_measure
+        G = 0.5 * (B + B.T)
+        sols = [sol for sol, _ in units]
+        G[np.diag_indices(self.dim)] = [sol.energy for sol in sols]
         return G, sols
 
     def trace_objective(self, exterior):
@@ -252,14 +259,11 @@ class EmbeddedProblem:
         summed over unit slopes; the returned symmetric matrix represents
         that linear form under the Frobenius pairing.
         """
-        d = self.disc.dim
-        solver = self.system(exterior)
+        d = self.dim
         value = 0.0
         grad = np.zeros((d, d))
-        for i in range(d):
-            sol = self.solve(exterior, np.eye(d)[i], solver=solver)
+        for i, (sol, grad_w) in enumerate(self._unit_solves(exterior)):
             value += sol.energy
-            grad_w = self.mesh.element_gradients(sol.w)
             grad += np.einsum("e,ea,eb->ab", self.vol_ext, grad_w, grad_w)
             mean_grad = self.vol_ball @ grad_w
             outer = np.outer(np.eye(d)[i], mean_grad)
@@ -271,12 +275,9 @@ class EmbeddedProblem:
 
         Not symmetric in general; that asymmetry is the point of keeping it.
         """
-        d = self.disc.dim
-        solver = self.system(exterior)
+        d = self.dim
         out = np.empty((d, d))
-        for i in range(d):
-            sol = self.solve(exterior, np.eye(d)[i], solver=solver)
-            grad_w = self.mesh.element_gradients(sol.w)
+        for i, (_, grad_w) in enumerate(self._unit_solves(exterior)):
             flux = self.coeff_ball_total[:, i] + np.einsum(
                 "eab,eb->a", self.coeff_ball, grad_w)
             out[:, i] = flux / self.ball_measure
@@ -285,19 +286,3 @@ class EmbeddedProblem:
     def mean_coefficient(self):
         """Arithmetic mean of the field over the ball (quadrature measure)."""
         return self.coeff_ball_total / self.ball_measure
-
-
-# ---------------------------------------------------------------------------
-# one-shot conveniences
-# ---------------------------------------------------------------------------
-
-
-def solve_embedded(field, exterior, p, disc, **kwargs):
-    """Build the discrete problem and solve a single corrector."""
-    return EmbeddedProblem(field, disc, **kwargs).solve(exterior, p)
-
-
-def energy_matrix(field, exterior, disc):
-    problem = EmbeddedProblem(field, disc)
-    G, _ = problem.energy_matrix(exterior)
-    return G

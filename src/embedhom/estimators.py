@@ -28,9 +28,6 @@ from .reference import periodic_effective
 
 log = logging.getLogger(__name__)
 
-METHODS = ("naive", "energy_min", "averaged", "self_consistent",
-           "self_consistent_scalar", "periodic_ref")
-
 
 @dataclass
 class OptimizerOptions:
@@ -129,6 +126,27 @@ def _base_metadata(problem):
             "solver": disc.solver,
         }
     return meta
+
+
+def _report(method, start, matrix, bounds, *, problem=None, converged=True,
+            iterations=0, trace=(), flags=(), meta=None, **fields):
+    """The report of one estimate begun at perf_counter() time `start`.
+
+    Flags are the spectrum check of `matrix`, then `flags`, then
+    not_converged. With a `problem`, max_rel1 is its worst residual and its
+    backend and discretization lead the metadata, ahead of `meta`.
+    """
+    flags = _spectrum_flags(matrix, bounds) + tuple(flags)
+    if not converged:
+        flags += ("not_converged",)
+    metadata = {} if problem is None else _base_metadata(problem)
+    metadata.update(meta or {})
+    return EffectiveMatrixReport(
+        method=method, matrix=matrix, converged=converged,
+        iterations=iterations, trace=list(trace), flags=flags,
+        max_rel1=0.0 if problem is None else problem.max_rel1_seen,
+        wall_ms=1e3 * (time.perf_counter() - start), metadata=metadata,
+        **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +314,20 @@ def estimate_energy_min(field_obj=None, disc=None, options=None, problem=None):
     options = options or OptimizerOptions()
     start = time.perf_counter()
     A, trace, converged, grad = maximize_trace(problem, options)
-    flags = _spectrum_flags(A, problem.bounds)
-    meta = _base_metadata(problem)
-    meta["optimizer"] = {"grad_tol": options.grad_tol,
-                         "max_iters": options.max_iters}
+    meta = {"optimizer": {"grad_tol": options.grad_tol,
+                          "max_iters": options.max_iters}}
+    flags = ()
     if options.fd_check:
         err = fd_gradient_check(problem, initial_matrix(problem, options))
         meta["fd_check_rel_err"] = err
         if err > 1e-4:
-            flags = flags + ("fd_gradient_mismatch",)
+            flags = ("fd_gradient_mismatch",)
     if not converged:
-        flags = flags + ("not_converged",)
         log.warning("energy_min ascent stopped after %d iterations without "
                     "reaching grad_tol", len(trace) - 1)
-    return EffectiveMatrixReport(
-        method="energy_min", matrix=A, converged=converged,
-        iterations=len(trace) - 1, trace=trace, objective=trace[-1],
-        max_rel1=problem.max_rel1_seen, flags=flags,
-        wall_ms=1e3 * (time.perf_counter() - start), metadata=meta,
-    )
+    return _report("energy_min", start, A, problem.bounds, problem=problem,
+                   converged=converged, iterations=len(trace) - 1,
+                   trace=trace, flags=flags, meta=meta, objective=trace[-1])
 
 
 def estimate_averaged(field_obj=None, disc=None, options=None, problem=None,
@@ -329,18 +342,10 @@ def estimate_averaged(field_obj=None, disc=None, options=None, problem=None,
     inner = anchor if anchor is not None \
         else estimate_energy_min(problem=problem, options=options)
     G, _ = problem.energy_matrix(inner.matrix)
-    flags = _spectrum_flags(G, problem.bounds)
-    if not inner.converged:
-        flags = flags + ("not_converged",)
-    meta = _base_metadata(problem)
-    meta["anchor_objective"] = inner.objective
-    return EffectiveMatrixReport(
-        method="averaged", matrix=G, converged=inner.converged,
-        iterations=inner.iterations, trace=inner.trace,
-        objective=inner.objective, max_rel1=problem.max_rel1_seen,
-        flags=flags, wall_ms=1e3 * (time.perf_counter() - start),
-        metadata=meta,
-    )
+    return _report("averaged", start, G, problem.bounds, problem=problem,
+                   converged=inner.converged, iterations=inner.iterations,
+                   trace=inner.trace, objective=inner.objective,
+                   meta={"anchor_objective": inner.objective})
 
 
 def estimate_self_consistent(field_obj=None, disc=None, options=None,
@@ -350,20 +355,16 @@ def estimate_self_consistent(field_obj=None, disc=None, options=None,
     options = options or FixedPointOptions()
     start = time.perf_counter()
     A, residuals, converged, final_residual = damped_fixed_point(problem, options)
-    flags = _spectrum_flags(A, problem.bounds)
     if not converged:
-        flags = flags + ("not_converged",)
         log.warning("self-consistent iteration did not reach tol=%.1e "
                     "(final residual %.3e)", options.tol, final_residual)
-    meta = _base_metadata(problem)
-    meta["fixed_point"] = {"damping": options.damping, "tol": options.tol,
-                           "max_iters": options.max_iters}
-    return EffectiveMatrixReport(
-        method="self_consistent", matrix=A, converged=converged,
-        iterations=len(residuals), trace=residuals, residual=final_residual,
-        max_rel1=problem.max_rel1_seen, flags=flags,
-        wall_ms=1e3 * (time.perf_counter() - start), metadata=meta,
-    )
+    return _report("self_consistent", start, A, problem.bounds,
+                   problem=problem, converged=converged,
+                   iterations=len(residuals), trace=residuals,
+                   residual=final_residual,
+                   meta={"fixed_point": {"damping": options.damping,
+                                         "tol": options.tol,
+                                         "max_iters": options.max_iters}})
 
 
 def estimate_self_consistent_scalar(field_obj=None, disc=None, options=None,
@@ -373,18 +374,14 @@ def estimate_self_consistent_scalar(field_obj=None, disc=None, options=None,
     options = options or BisectOptions()
     start = time.perf_counter()
     value, trace, converged, iterations = scalar_fixed_point(problem, options)
-    matrix = value * np.eye(problem.dim)
-    flags = () if converged else ("not_converged",)
-    meta = _base_metadata(problem)
-    meta["bisection"] = {"tol": options.tol, "max_iters": options.max_iters,
-                         "bracket_tol": options.bracket_tol}
-    return EffectiveMatrixReport(
-        method="self_consistent_scalar", matrix=matrix, converged=converged,
-        iterations=iterations, trace=trace,
-        residual=abs(trace[-1]) if trace else 0.0,
-        max_rel1=problem.max_rel1_seen, flags=flags,
-        wall_ms=1e3 * (time.perf_counter() - start), metadata=meta,
-    )
+    return _report("self_consistent_scalar", start,
+                   value * np.eye(problem.dim), problem.bounds,
+                   problem=problem, converged=converged,
+                   iterations=iterations, trace=trace,
+                   residual=abs(trace[-1]) if trace else 0.0,
+                   meta={"bisection": {"tol": options.tol,
+                                       "max_iters": options.max_iters,
+                                       "bracket_tol": options.bracket_tol}})
 
 
 def estimate_periodic_ref(field_obj, r=1.0, divisions=64, quad_order=1):
@@ -392,13 +389,9 @@ def estimate_periodic_ref(field_obj, r=1.0, divisions=64, quad_order=1):
     start = time.perf_counter()
     matrix = periodic_effective(field_obj, R=r, divisions=divisions,
                                 quad_order=quad_order)
-    return EffectiveMatrixReport(
-        method="periodic_ref", matrix=matrix, converged=True, iterations=0,
-        trace=[], flags=_spectrum_flags(matrix, field_obj.bounds),
-        wall_ms=1e3 * (time.perf_counter() - start),
-        metadata={"backend": "periodic_cell", "divisions": int(divisions),
-                  "R": float(r)},
-    )
+    return _report("periodic_ref", start, matrix, field_obj.bounds,
+                   meta={"backend": "periodic_cell",
+                         "divisions": int(divisions), "R": float(r)})
 
 
 def estimate_naive(field_obj=None, exterior=None, disc=None, problem=None):
@@ -408,11 +401,5 @@ def estimate_naive(field_obj=None, exterior=None, disc=None, problem=None):
         exterior = initial_matrix(problem)
     start = time.perf_counter()
     matrix = problem.flux_average(np.asarray(exterior, dtype=float))
-    meta = _base_metadata(problem)
-    meta["exterior"] = np.asarray(exterior).tolist()
-    return EffectiveMatrixReport(
-        method="naive", matrix=matrix, converged=True, iterations=0,
-        trace=[], max_rel1=problem.max_rel1_seen,
-        flags=_spectrum_flags(matrix, problem.bounds),
-        wall_ms=1e3 * (time.perf_counter() - start), metadata=meta,
-    )
+    return _report("naive", start, matrix, problem.bounds, problem=problem,
+                   meta={"exterior": np.asarray(exterior).tolist()})

@@ -10,12 +10,10 @@ Supported kinds: constant, laminate, checkerboard, inclusions,
 one_dim_piecewise, plus rescaling x -> A(R x).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GeometryError, InvalidCoefficientError
-from .matrices import EllipticityBounds, as_spd, check_admissible
+from .matrices import as_spd, check_admissible
 
 # ---------------------------------------------------------------------------
 # counter-based hashing (splitmix64 finalizer chain)

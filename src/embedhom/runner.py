@@ -12,7 +12,8 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .estimators import (estimate_averaged, estimate_energy_min,
                          estimate_self_consistent,
                          estimate_self_consistent_scalar)
 from .fields import rescale
+from .matrices import as_spd
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +65,31 @@ def dump_json(obj, indent=0):
     return json.dumps(str(obj))
 
 
+@dataclass
+class _Point:
+    """What the methods at one sweep point share: the embedded problem, built
+    on first use (a periodic_ref-only config builds no mesh), and the
+    energy_min report, computed at most once."""
+
+    cfg: object
+    base_field: object
+    embedded_field: object
+    disc: object
+    r_total: float
+    seed: object
+
+    @cached_property
+    def problem(self):
+        return EmbeddedProblem(self.embedded_field, self.disc)
+
+    @cached_property
+    def energy_min(self):
+        return estimate_energy_min(problem=self.problem,
+                                   options=self.cfg.optimizer)
+
+
 def _point_inputs(cfg, sweep_value):
-    """Resolve (base field, embedded field, disc, total R, seed) at one point."""
+    """The _Point of one sweep value: its fields, disc, total R and seed."""
     seed = None
     disc = cfg.disc
     r_total = cfg.rescale
@@ -80,7 +105,29 @@ def _point_inputs(cfg, sweep_value):
             disc = replace(disc, h=float(sweep_value))
     base_field = cfg.build_field(seed=seed)
     embedded_field = rescale(base_field, r_total) if r_total != 1.0 else base_field
-    return base_field, embedded_field, disc, r_total, seed
+    return _Point(cfg, base_field, embedded_field, disc, r_total, seed)
+
+
+# Method name -> its estimate at one sweep point, in the order `method: all`
+# runs them. Each entry calls its estimate_* through this module's globals
+# when it runs, so a wrapper later bound to that name sees the call.
+_METHODS = {
+    "naive": lambda cfg, pt: estimate_naive(
+        problem=pt.problem, exterior=None if cfg.naive_exterior is None
+        else as_spd(cfg.naive_exterior, cfg.dim)),
+    "energy_min": lambda cfg, pt: pt.energy_min,
+    # averaged shares energy_min's ascent when both run, else runs its own
+    "averaged": lambda cfg, pt: estimate_averaged(
+        problem=pt.problem, options=cfg.optimizer,
+        anchor=pt.energy_min if "energy_min" in cfg.methods else None),
+    "self_consistent": lambda cfg, pt: estimate_self_consistent(
+        problem=pt.problem, options=cfg.fixed_point),
+    "self_consistent_scalar": lambda cfg, pt: estimate_self_consistent_scalar(
+        problem=pt.problem, options=cfg.bisect),
+    "periodic_ref": lambda cfg, pt: estimate_periodic_ref(
+        pt.base_field, r=pt.r_total, divisions=cfg.periodic_divisions),
+}
+METHODS = tuple(_METHODS)
 
 
 def run_point(cfg, sweep_value):
@@ -91,55 +138,22 @@ def run_point(cfg, sweep_value):
     {method, report|None, error|None, field} in config method order.
     """
     try:
-        base_field, embedded_field, disc, r_total, seed = \
-            _point_inputs(cfg, sweep_value)
+        point = _point_inputs(cfg, sweep_value)
     except Exception as exc:   # field construction failed for this point
         return _failed_point(cfg, f"{type(exc).__name__}: {exc}")
 
-    problem = None
-    anchor = None
     results = []
     for method in cfg.methods:
+        result = {"method": method, "report": None, "error": None,
+                  "field": point.base_field.describe(), "seed": point.seed,
+                  "rescale": point.r_total}
         try:
-            if method == "periodic_ref":
-                report = estimate_periodic_ref(
-                    base_field, r=r_total, divisions=cfg.periodic_divisions)
-            else:
-                if problem is None:
-                    problem = EmbeddedProblem(embedded_field, disc)
-                if method == "energy_min":
-                    report = estimate_energy_min(problem=problem,
-                                                 options=cfg.optimizer)
-                    anchor = report
-                elif method == "averaged":
-                    report = estimate_averaged(problem=problem,
-                                               options=cfg.optimizer,
-                                               anchor=anchor)
-                elif method == "self_consistent":
-                    report = estimate_self_consistent(problem=problem,
-                                                      options=cfg.fixed_point)
-                elif method == "self_consistent_scalar":
-                    report = estimate_self_consistent_scalar(
-                        problem=problem, options=cfg.bisect)
-                elif method == "naive":
-                    exterior = cfg.naive_exterior
-                    if exterior is not None:
-                        exterior = np.asarray(exterior, dtype=float) \
-                            if isinstance(exterior, list) \
-                            else exterior * np.eye(cfg.dim)
-                    report = estimate_naive(problem=problem, exterior=exterior)
-                else:
-                    raise ValueError(f"unhandled method {method!r}")
-            results.append({"method": method, "report": report.to_dict(),
-                            "error": None, "field": base_field.describe(),
-                            "seed": seed, "rescale": r_total})
+            result["report"] = _METHODS[method](cfg, point).to_dict()
         except Exception as exc:
             log.error("method %s failed at sweep value %r: %s",
                       method, sweep_value, exc)
-            results.append({"method": method, "report": None,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "field": base_field.describe(),
-                            "seed": seed, "rescale": r_total})
+            result["error"] = f"{type(exc).__name__}: {exc}"
+        results.append(result)
     return results
 
 

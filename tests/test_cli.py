@@ -7,8 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from embedhom import runner
+from embedhom import estimators, runner
 from embedhom.cli import main
+from embedhom.config import parse_config
+from embedhom.corrector import EmbeddedProblem
+from embedhom.fields import rescale
 
 HOMOGENEOUS = """\
 name: homogeneous-check
@@ -345,6 +348,90 @@ def test_run_crashed_worker_keeps_finished_points(tmp_path, monkeypatch):
         lost = json.loads((out_dir / f"R_16_{method}.json").read_text())
         assert lost["error"].startswith("WorkerCrashed: ")
         assert lost["report"] is None
+
+
+# ---------------------------------------------------------------------------
+# run_point: the method table
+# ---------------------------------------------------------------------------
+
+# every option below differs from its default
+OPTIONS_POINT = """\
+name: options-point
+dim: 2
+bounds: {alpha: 1.0, beta: 4.0}
+field: {kind: checkerboard, values: [1.0, 4.0], probabilities: [0.5, 0.5],
+        seed: 2}
+rescale: 3.0
+method: METHODS
+naive_exterior: [[2.0, 0.3], [0.3, 1.5]]
+discretization: {L: 2.0, h: 0.2}
+periodic: {divisions: 16}
+optimizer: {grad_tol: 1e-3, max_iters: 4}
+fixed_point: {damping: 0.7}
+bisect: {tol: 1e-4}
+"""
+
+
+def _point_reports(methods):
+    cfg = parse_config(OPTIONS_POINT.replace("METHODS", methods))
+    return cfg, {r["method"]: r["report"] for r in runner.run_point(cfg, None)}
+
+
+def test_run_point_passes_config_options():
+    cfg, reports = _point_reports("all")
+    base = cfg.build_field()
+    field = rescale(base, cfg.rescale)
+
+    def fresh():
+        return EmbeddedProblem(field, cfg.disc)
+
+    direct = {
+        "naive": estimators.estimate_naive(
+            problem=fresh(), exterior=np.array([[2.0, 0.3], [0.3, 1.5]])),
+        "energy_min": estimators.estimate_energy_min(
+            problem=fresh(), options=cfg.optimizer),
+        "averaged": estimators.estimate_averaged(
+            problem=fresh(), options=cfg.optimizer),
+        "self_consistent": estimators.estimate_self_consistent(
+            problem=fresh(), options=cfg.fixed_point),
+        "self_consistent_scalar": estimators.estimate_self_consistent_scalar(
+            problem=fresh(), options=cfg.bisect),
+        "periodic_ref": estimators.estimate_periodic_ref(
+            base, r=cfg.rescale, divisions=16),
+    }
+    assert list(reports) == list(direct)
+    for method, report in reports.items():
+        assert np.array_equal(report["matrix"], direct[method].matrix), method
+    meta = {m: r["metadata"] for m, r in reports.items()}
+    assert meta["naive"]["exterior"] == [[2.0, 0.3], [0.3, 1.5]]
+    assert meta["energy_min"]["optimizer"] == {"grad_tol": 1e-3, "max_iters": 4}
+    assert reports["energy_min"]["iterations"] == 4     # max_iters ends it
+    assert meta["self_consistent"]["fixed_point"]["damping"] == 0.7
+    assert meta["self_consistent_scalar"]["bisection"]["tol"] == 1e-4
+    assert meta["periodic_ref"]["divisions"] == 16
+
+
+def test_averaged_before_energy_min_shares_one_ascent(monkeypatch):
+    calls = []
+    ascent = estimators.maximize_trace
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ascent(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "maximize_trace", counted)
+    _, swapped = _point_reports("[averaged, energy_min]")
+    assert len(calls) == 1
+    _, ordered = _point_reports("[energy_min, averaged]")
+    for method in ("energy_min", "averaged"):
+        swapped[method].pop("wall_ms")
+        ordered[method].pop("wall_ms")
+        assert swapped[method] == ordered[method], method
+    calls.clear()
+    _, alone = _point_reports("[averaged]")    # alone, it runs its own ascent
+    assert len(calls) == 1
+    alone["averaged"].pop("wall_ms")
+    assert alone["averaged"] == ordered["averaged"]
 
 
 # ---------------------------------------------------------------------------

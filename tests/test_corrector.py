@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from embedhom.corrector import EmbeddedProblem, solve_embedded
+from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import InvalidCoefficientError
 from embedhom.fem import Discretization, assemble_stiffness
 from embedhom.fields import make_checkerboard, make_constant, make_one_dim_piecewise
@@ -43,7 +43,7 @@ def test_homogeneous_energy_matrix_and_flux():
     prob = EmbeddedProblem(field, DISC_2D)
     G, sols = prob.energy_matrix(A)
     assert np.allclose(G, A, atol=1e-12)
-    assert len(sols) == 3      # two unit slopes + one polarization slope
+    assert len(sols) == 2      # the two unit slopes; no polarization slope
     assert np.allclose(prob.flux_average(A), A, atol=1e-12)
     assert np.allclose(prob.mean_coefficient(), A, atol=1e-12)
 
@@ -175,7 +175,22 @@ def test_system_cache_and_solve_count():
     assert prob.system(ext) is prob.system(ext.copy())
     before = prob.solve_count
     prob.energy_matrix(ext)
-    assert prob.solve_count - before == 3
+    assert prob.solve_count - before == 2
+
+
+def test_energy_matrix_off_diagonal_is_polarization():
+    # the bilinear form of the unit correctors must give what a solve at the
+    # slope e1 + e2 gives by polarization, with the diagonal bitwise equal
+    prob = checkerboard_problem(seed=5)
+    ext = np.array([[2.0, 0.7], [0.7, 1.2]])
+    G, _ = prob.energy_matrix(ext)
+    energies = [prob.solve(ext, p).energy
+                for p in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])]
+    assert G[0, 0] == energies[0] and G[1, 1] == energies[1]
+    polar = 0.5 * (energies[2] - energies[0] - energies[1])
+    assert G[0, 1] == G[1, 0]
+    assert abs(G[0, 1] - polar) <= 1e-12 * np.abs(G).max()
+    assert abs(polar) > 1e-4
 
 
 @pytest.mark.parametrize("dim, exterior", [
@@ -214,5 +229,6 @@ def test_rel1_flag_and_tracking():
 
 def test_solve_embedded_one_shot():
     field = make_constant(np.diag([2.0, 2.0]), BOUNDS)
-    sol = solve_embedded(field, 2.0 * np.eye(2), np.array([0.0, 1.0]), DISC_2D)
+    sol = EmbeddedProblem(field, DISC_2D).solve(2.0 * np.eye(2),
+                                                np.array([0.0, 1.0]))
     assert np.isclose(sol.energy, 2.0, atol=1e-12)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from embedhom import METHODS
 from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import BracketError
 from embedhom.estimators import (
-    METHODS,
     BisectOptions,
     FixedPointOptions,
     OptimizerOptions,
@@ -176,8 +176,8 @@ def test_anchor_reuse_skips_ascent():
     anchor = estimate_energy_min(problem=prob, options=opts)
     before = prob.solve_count
     reused = estimate_averaged(problem=prob, anchor=anchor)
-    # one energy-matrix evaluation: d (d + 1) / 2 = 3 solves, no ascent
-    assert prob.solve_count - before == 3
+    # one energy-matrix evaluation: d = 2 unit-slope solves, no ascent
+    assert prob.solve_count - before == 2
     direct = estimate_averaged(problem=prob, options=opts)
     assert np.array_equal(reused.matrix, direct.matrix)
     assert reused.metadata["anchor_objective"] == anchor.objective
