@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .errors import InvalidCoefficientError
 from .fem import (LinearSolver, assemble_vector, build_mesh, element_stiffness,
                   reduce_coefficient, scatter_vector)
-from .matrices import check_admissible
+from .matrices import check_admissible, symmetric_basis
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,10 @@ class EmbeddedProblem:
     pattern. Those 1 + d(d+1)/2 parts are built once per problem, at the
     first system() call (not in the constructor, so a problem that never
     assembles pays nothing for them). The last assembled system is cached so
-    the handful of solves at one exterior matrix share a factorization.
+    the handful of solves at one exterior matrix share a factorization, and
+    the last unit-slope solutions are kept for the derivatives at the same
+    matrix (trace_hessian, energy_jacobian). factorization_count and
+    solve_count count the work.
     """
 
     def __init__(self, field, disc, rel1_threshold=REL1_DEFAULT_THRESHOLD,
@@ -100,9 +103,11 @@ class EmbeddedProblem:
 
         self._pattern = self._parts = None
         self._system_cache = (None, None)
+        self._units = (None, None)
         self._warm = {}
         self.max_rel1_seen = 0.0
         self.solve_count = 0
+        self.factorization_count = 0
 
     # -- system pieces -----------------------------------------------------
 
@@ -140,6 +145,8 @@ class EmbeddedProblem:
         key = exterior.tobytes()
         if self._system_cache[0] == key:
             return self._system_cache[1]
+        # release the factorization held before building the next one
+        self._system_cache = (None, None)
         if self._parts is None:
             self._pattern, self._parts = self._stiffness_parts()
         sym = 0.5 * (exterior + exterior.T)
@@ -150,6 +157,7 @@ class EmbeddedProblem:
         K = sp.csr_matrix((data, *self._pattern), shape=(n, n))
         solver = LinearSolver(K, self.disc)
         self._system_cache = (key, solver)
+        self.factorization_count += 1
         return solver
 
     def load(self, exterior, p):
@@ -221,12 +229,83 @@ class EmbeddedProblem:
     def _unit_solves(self, exterior):
         """(solution, element gradients of w) for each unit slope e_i, in
         order, on one system."""
+        exterior = np.asarray(exterior, dtype=float)
         solver = self.system(exterior)
         out = []
         for p in np.eye(self.dim):
             sol = self.solve(exterior, p, solver=solver)
             out.append((sol, self.mesh.element_gradients(sol.w)))
+        self._units = (exterior.tobytes(), [sol for sol, _ in out])
         return out
+
+    def _raw_units(self, exterior):
+        """Columns x_i = K^-1 F_i (interior dofs, before the mean shift) of
+        the unit slopes at this exterior matrix: those of the last unit
+        solves if they were at it, else solved anew."""
+        exterior = np.asarray(exterior, dtype=float)
+        if self._units[0] != exterior.tobytes():
+            self._unit_solves(exterior)
+        idx = self.mesh.interior_idx
+        return np.stack([sol.w[idx] + sol.ball_mean
+                         for sol in self._units[1]], axis=1)
+
+    def _exterior_parts(self):
+        """K_k, the exterior stiffness of each symmetric_basis direction."""
+        n = self.mesh.n_dofs
+        return [sp.csr_matrix((part, *self._pattern), shape=(n, n))
+                for part in self._parts[1:]]
+
+    def _sensitivity_solve(self, solver, R):
+        """K^-1 R, counted in solve_count: one back-substitution with every
+        column on the direct path, one CG solve a column (never warm-started
+        from, nor kept for, the corrector solves) otherwise."""
+        if solver.method == "direct":
+            self.solve_count += 1
+            return solver.solve(R)[0]
+        out = []
+        for r in R.T:
+            out.append(solver.solve(r)[0])
+            self.solve_count += 1
+        return np.stack(out, axis=1)
+
+    def trace_hessian(self, exterior):
+        """Hessian of Tr G in the coordinates theta of A = sum theta_k U_k
+        (U_k from symmetric_basis), an (m, m) matrix.
+
+        K(A) x_i = F_i(A) moves by K_k x_i + K dx_i = dF_i/dtheta_k, so the
+        corrector of slope e_i moves by K^-1 r_ki with r_ki = dF_i/dtheta_k
+        - K_k x_i, and differentiating the envelope gradient once more gives
+        H_kl = -(2/|B|) sum_i r_ki . K^-1 r_li. That is one back-substitution
+        with m right-hand sides per unit slope on the factorization held at
+        A; the unit solves themselves are reused from the last evaluation
+        at A.
+        """
+        exterior = np.asarray(exterior, dtype=float)
+        X = self._raw_units(exterior)
+        solver = self.system(exterior)
+        basis = symmetric_basis(self.dim)
+        parts = self._exterior_parts()
+        H = np.zeros((len(basis), len(basis)))
+        for i in range(self.dim):
+            R = np.stack([self.geom_basis @ U[:, i] - K @ X[:, i]
+                          for U, K in zip(basis, parts)], axis=1)
+            H -= R.T @ self._sensitivity_solve(solver, R)
+        return (H + H.T) / self.ball_measure
+
+    def energy_jacobian(self, exterior):
+        """dG/dtheta_k for each coordinate of trace_hessian, (m, d, d).
+
+        No solve: the energy is stationary in the corrector (envelope
+        theorem), so dG_ij/dtheta_k = (x_i . K_k x_j - dF_i/dtheta_k . x_j
+        - dF_j/dtheta_k . x_i) / |B|, with dF_i/dtheta_k = geom_basis U_k e_i.
+        """
+        X = self._raw_units(exterior)
+        GX = self.geom_basis.T @ X          # [a, j] = sum_n geom_na x_jn
+        out = []
+        for U, K in zip(symmetric_basis(self.dim), self._exterior_parts()):
+            M = U @ GX                      # [i, j] = dF_i/dtheta_k . x_j
+            out.append(X.T @ (K @ X) - M - M.T)
+        return np.array(out) / self.ball_measure
 
     def energy_matrix(self, exterior):
         """Symmetric matrix G with p.G(A)p = corrector energy at slope p.

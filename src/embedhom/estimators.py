@@ -8,11 +8,19 @@ field, all driven by the same corrector problem:
   kept as the cautionary baseline.
 * energy_min: the exterior matrix maximizing the trace of the energy
   matrix over the admissible cone (the energy is concave in the exterior
-  matrix, so projected gradient ascent with backtracking finds the max).
+  matrix, so a monotone projected Newton ascent with Armijo backtracking
+  and a gradient fallback finds the max).
 * averaged: the energy matrix evaluated at the energy_min point.
-* self_consistent: fixed point of A -> G(A) by damped iteration.
+* self_consistent: fixed point of A -> G(A) by Newton's method, with the
+  damped iteration as fallback.
 * self_consistent_scalar: isotropic fixed point (1/d) Tr G(a I) = a by
-  bisection, bracketed by the constant-phase sandwich.
+  bracketed Newton, bracketed by the constant-phase sandwich.
+
+One sparse factorization per exterior matrix is the unit of cost, so the
+iterations take second-order steps: the trace Hessian and the Jacobian of G
+come from the factorization already held (EmbeddedProblem.trace_hessian,
+energy_jacobian), and each report's metadata["work"] counts the
+factorizations and solves its estimate made.
 """
 
 import logging
@@ -23,7 +31,7 @@ import numpy as np
 
 from .corrector import EmbeddedProblem
 from .errors import BracketError
-from .matrices import project_to_admissible
+from .matrices import project_to_admissible, symmetric_basis
 from .reference import periodic_effective
 
 log = logging.getLogger(__name__)
@@ -31,7 +39,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class OptimizerOptions:
-    """Projected-ascent controls for the energy_min estimator."""
+    """Ascent controls for the energy_min estimator; initial_step is the
+    first step of the projected-gradient fallback (Newton steps start at
+    1)."""
 
     max_iters: int = 200
     grad_tol: float = 1e-6
@@ -44,7 +54,8 @@ class OptimizerOptions:
 
 @dataclass
 class FixedPointOptions:
-    """Damped-iteration controls for the self_consistent estimator."""
+    """Controls for the self_consistent estimator; damping is the step of
+    the fallback taken where a Newton step does not lower the residual."""
 
     damping: float = 0.5
     max_iters: int = 100
@@ -58,7 +69,8 @@ class FixedPointOptions:
 
 @dataclass
 class BisectOptions:
-    """Bisection controls for the scalar self-consistent estimator."""
+    """Bracketed-Newton controls for the scalar self-consistent estimator;
+    tol is the width of the final bracket."""
 
     tol: float = 1e-6
     max_iters: int = 60
@@ -128,24 +140,44 @@ def _base_metadata(problem):
     return meta
 
 
+def _work(problem):
+    """(factorizations, solves) counted by the problem so far; a closed-form
+    backend counts none."""
+    return (getattr(problem, "factorization_count", 0),
+            getattr(problem, "solve_count", 0))
+
+
+def _begin(problem=None):
+    """The start of one estimate: the clock and the problem's work counts."""
+    return time.perf_counter(), _work(problem)
+
+
 def _report(method, start, matrix, bounds, *, problem=None, converged=True,
             iterations=0, trace=(), flags=(), meta=None, **fields):
-    """The report of one estimate begun at perf_counter() time `start`.
+    """The report of one estimate begun at `start` (from _begin).
 
     Flags are the spectrum check of `matrix`, then `flags`, then
-    not_converged. With a `problem`, max_rel1 is its worst residual and its
-    backend and discretization lead the metadata, ahead of `meta`.
+    not_converged. With a `problem`, max_rel1 is its worst residual, its
+    backend and discretization lead the metadata, ahead of `meta`, and
+    metadata["work"] closes it: the factorizations and solves the estimate
+    added to the problem's counts.
     """
+    t0, work0 = start
     flags = _spectrum_flags(matrix, bounds) + tuple(flags)
     if not converged:
         flags += ("not_converged",)
     metadata = {} if problem is None else _base_metadata(problem)
     metadata.update(meta or {})
+    if problem is not None:
+        factorizations, solves = np.subtract(_work(problem), work0).tolist()
+        metadata["work"] = {"factorizations": factorizations, "solves": solves}
+        log.debug("%s: %d factorizations, %d solves", method,
+                  factorizations, solves)
     return EffectiveMatrixReport(
         method=method, matrix=matrix, converged=converged,
         iterations=iterations, trace=list(trace), flags=flags,
         max_rel1=0.0 if problem is None else problem.max_rel1_seen,
-        wall_ms=1e3 * (time.perf_counter() - start), metadata=metadata,
+        wall_ms=1e3 * (time.perf_counter() - t0), metadata=metadata,
         **fields)
 
 
@@ -164,31 +196,68 @@ def initial_matrix(problem, options=None):
     return project_to_admissible(np.asarray(guess, dtype=float), problem.bounds)
 
 
-def maximize_trace(problem, options):
-    """Projected supergradient ascent on A -> Tr G(A) over the cone.
+def _resolvable(gain, value):
+    """Whether an objective increase `gain` at `value` can show through
+    rounding: below 16 machine epsilons of the value, a comparison of two
+    energies is a coin toss, and so it is for any shorter step."""
+    return gain > 16.0 * np.finfo(float).eps * max(1.0, abs(value))
 
-    Monotone by construction (Armijo backtracking along the projection arc);
-    stops when the projected full step moves less than grad_tol in Frobenius
-    norm. Returns (A, objective trace, converged, gradient at A).
+
+def _newton_direction(problem, A, grad, basis):
+    """Step from A to the projected Newton point Proj(A + sum_k s_k U_k), s
+    solving H s = -g for the trace Hessian H and the gradient g in the
+    coordinates of `basis`; None when that step is not an ascent direction."""
+    g = np.einsum("kab,ab->k", basis, grad)
+    try:
+        s = np.linalg.solve(problem.trace_hessian(A), -g)
+    except np.linalg.LinAlgError:
+        return None
+    direction = project_to_admissible(A + np.einsum("k,kab->ab", s, basis),
+                                      problem.bounds) - A
+    return direction if np.sum(grad * direction) > 0.0 else None
+
+
+def maximize_trace(problem, options):
+    """Projected Newton ascent on A -> Tr G(A) over the cone.
+
+    Each iteration first searches the segment from A to the projected Newton
+    point (see _newton_direction) from t = 1; when that point is no ascent
+    direction it searches the projected gradient arc Proj(A + t grad) from
+    t = initial_step (doubling the last accepted gradient step) instead.
+    Both backtrack under the Armijo test, so the ascent is monotone, and
+    give up once the predicted increase is below rounding. Stops when the
+    projected full gradient step moves less than grad_tol in Frobenius norm.
+    Returns (A, objective trace, converged, gradient at A).
     """
     bounds = problem.bounds
+    basis = symmetric_basis(problem.dim)
     A = initial_matrix(problem, options)
     value, grad = problem.trace_objective(A)
     trace = [value]
     converged = False
     step = options.initial_step
-    for _ in range(options.max_iters):
+    while True:
         move = project_to_admissible(A + grad, bounds) - A
         if np.linalg.norm(move) <= options.grad_tol:
             converged = True
             break
-        t = min(options.initial_step, 2.0 * step)
+        if len(trace) > options.max_iters:
+            break
+        direction = _newton_direction(problem, A, grad, basis)
+        t = 1.0 if direction is not None \
+            else min(options.initial_step, 2.0 * step)
         accepted = False
         while t > options.min_step:
-            A_try = project_to_admissible(A + t * grad, bounds)
+            if direction is not None:
+                A_try = A + t * direction
+            else:
+                A_try = project_to_admissible(A + t * grad, bounds)
             delta = A_try - A
+            gain = np.sum(grad * delta)
+            if not _resolvable(gain, value):
+                break
             value_try, grad_try = problem.trace_objective(A_try)
-            if value_try >= value + options.sufficient_increase * np.sum(grad * delta):
+            if value_try >= value + options.sufficient_increase * gain:
                 accepted = True
                 break
             t *= options.backtrack
@@ -196,11 +265,9 @@ def maximize_trace(problem, options):
             # no step survives backtracking: numerically stationary
             converged = np.linalg.norm(move) <= 10 * options.grad_tol
             break
-        if np.linalg.norm(delta) == 0.0:
-            # projection pins A against the cone boundary in this direction
-            converged = True
-            break
-        A, value, grad, step = A_try, value_try, grad_try, t
+        if direction is None:
+            step = t
+        A, value, grad = A_try, value_try, grad_try
         trace.append(value)
     return A, trace, converged, grad
 
@@ -239,68 +306,116 @@ def fd_gradient_check(problem, A, n_directions=3, eps=1e-5, seed=0):
 
 
 def damped_fixed_point(problem, options):
-    """A <- (1 - theta) A + theta Proj(G(A)) until the update stalls.
+    """Newton iteration on G(A) - A = 0, with the damped step as fallback.
 
-    Returns (A, residual trace ||G(A_k) - A_k||_F, converged, final residual).
-    Convergence is not guaranteed for anisotropic fields; the caller reports
-    the flag instead of raising.
+    Each iteration tries the projected Newton point Proj(A + sum_k s_k U_k),
+    s solving (dG/dtheta - I) s = -(G(A) - A) in the coordinates of
+    symmetric_basis (the Jacobian is problem.energy_jacobian, which costs no
+    solve). Where ||G - A||_F does not drop there, it takes the damped step
+    (1 - damping) A + damping Proj(G(A)) instead. Stops when the residual is
+    at most tol, or when an update moves A by at most tol (the damped
+    iteration stalls there when the cone holds G(A) outside it).
+
+    Returns (A, residual trace ||G(A_k) - A_k||_F over the iterates, first
+    and last included, converged, final residual). Convergence is not
+    guaranteed for anisotropic fields; the caller reports the flag instead
+    of raising.
     """
     bounds = problem.bounds
+    basis = symmetric_basis(problem.dim)
+    upper = np.triu_indices(problem.dim)
     A = initial_matrix(problem, options)
-    residuals = []
-    converged = False
-    for _ in range(options.max_iters):
+
+    def evaluate(A):
         G, _ = problem.energy_matrix(A)
-        residuals.append(float(np.linalg.norm(G - A)))
-        A_next = (1.0 - options.damping) * A \
-            + options.damping * project_to_admissible(G, bounds)
-        done = np.linalg.norm(A_next - A) <= options.tol
-        A = A_next
-        if done:
-            converged = True
+        return G, float(np.linalg.norm(G - A))
+
+    G, residual = evaluate(A)
+    residuals = [residual]
+    stalled = False
+    while residual > options.tol and len(residuals) <= options.max_iters:
+        jac = problem.energy_jacobian(A)[:, upper[0], upper[1]].T
+        try:
+            s = np.linalg.solve(jac - np.eye(len(basis)), -(G - A)[upper])
+            A_next = project_to_admissible(
+                A + np.einsum("k,kab->ab", s, basis), bounds)
+            G_next, residual_next = evaluate(A_next)
+        except np.linalg.LinAlgError:
+            residual_next = np.inf
+        if not residual_next < residual:
+            A_next = (1.0 - options.damping) * A \
+                + options.damping * project_to_admissible(G, bounds)
+            G_next, residual_next = evaluate(A_next)
+        stalled = np.linalg.norm(A_next - A) <= options.tol
+        A, G, residual = A_next, G_next, residual_next
+        residuals.append(residual)
+        if stalled:
             break
-    G, _ = problem.energy_matrix(A)
-    final_residual = float(np.linalg.norm(G - A))
-    return A, residuals, converged, final_residual
+    return A, residuals, stalled or residual <= options.tol, residual
 
 
 def scalar_fixed_point(problem, options):
-    """Bisection for (1/d) Tr G(a I) = a on [alpha, beta].
+    """Bracketed Newton for (1/d) Tr G(a I) = a on [alpha, beta].
 
     The constant-phase comparison fields squeeze the trace map between two
-    closed forms whose roots are alpha and beta, so the gap function is >= 0
-    at alpha and <= 0 at beta; a violation beyond bracket_tol means the
-    discretization is broken and raises BracketError.
+    closed forms whose roots are alpha and beta, so the gap function
+    f(a) = (1/d) Tr G(a I) - a is >= 0 at alpha and <= 0 at beta; a
+    violation beyond bracket_tol means the discretization is broken and
+    raises BracketError. trace_objective's gradient gives f'(a) =
+    tr(grad)/d - 1 at no extra cost. Each step is Newton's from the last
+    point evaluated (first from the end with the smaller gap), or the
+    bracket midpoint where Newton leaves the bracket or does not halve the
+    step before last (Numerical Recipes' rtsafe). Newton's error is of the
+    order of the step squared, so a step shorter than tol/2 is doubled (and
+    lengthened by at least tol/100): it then lands just past the root and
+    closes the bracket to within tol.
+
+    Returns (a, gap trace, converged, iterations): a is the last point
+    evaluated, an end of the final bracket; the trace holds the gap at
+    alpha, at beta and at each later point, so its last entry is f(a);
+    iterations counts the points after the two ends; converged means the
+    bracket is at most tol wide.
     """
     alpha, beta = problem.bounds.alpha, problem.bounds.beta
     d = problem.dim
     eye = np.eye(d)
 
     def gap(gamma):
-        value, _ = problem.trace_objective(gamma * eye)
-        return value / d - gamma
+        value, grad = problem.trace_objective(gamma * eye)
+        return value / d - gamma, np.trace(grad) / d - 1.0
 
-    f_lo, f_hi = gap(alpha), gap(beta)
+    (f_lo, df_lo), (f_hi, df_hi) = gap(alpha), gap(beta)
     if f_lo < -options.bracket_tol or f_hi > options.bracket_tol:
         raise BracketError(
             "scalar fixed-point bracket violated: the constant-phase "
             "sandwich requires f(alpha) >= 0 >= f(beta) up to discretization "
             f"error, got f({alpha:g}) = {f_lo:.3e}, f({beta:g}) = {f_hi:.3e}"
         )
+    trace = [f_lo, f_hi]
     lo, hi = alpha, beta
-    trace = []
-    iterations = 0
-    while hi - lo > options.tol and iterations < options.max_iters:
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        trace.append(f_mid)
-        if f_mid > 0.0:
-            lo = mid
+    x, f, df = (alpha, f_lo, df_lo) if abs(f_lo) < abs(f_hi) \
+        else (beta, f_hi, df_hi)
+    step_before = hi - lo
+    while hi - lo > options.tol and len(trace) - 2 < options.max_iters:
+        step = -f / df if df != 0.0 else np.inf
+        if not lo < x + step < hi or abs(step) > 0.5 * abs(step_before):
+            x_new = 0.5 * (lo + hi)
+        elif abs(step) < 0.5 * options.tol:
+            x_new = x + step + np.copysign(max(abs(step), 0.01 * options.tol),
+                                           step)
         else:
-            hi = mid
-        iterations += 1
-    value = 0.5 * (lo + hi)
-    return value, trace, (hi - lo) <= options.tol, iterations
+            x_new = x + step
+        step_before, x = x_new - x, x_new
+        f, df = gap(x)
+        trace.append(f)
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        else:
+            lo = hi = x
+    value = x if len(trace) > 2 else beta
+    return value, trace, bool(hi - lo <= options.tol), len(trace) - 2
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +427,7 @@ def estimate_energy_min(field_obj=None, disc=None, options=None, problem=None):
     """Estimator maximizing the energy trace over admissible exterior matrices."""
     problem = _resolve_problem(field_obj, disc, problem)
     options = options or OptimizerOptions()
-    start = time.perf_counter()
+    start = _begin(problem)
     A, trace, converged, grad = maximize_trace(problem, options)
     meta = {"optimizer": {"grad_tol": options.grad_tol,
                           "max_iters": options.max_iters}}
@@ -338,7 +453,7 @@ def estimate_averaged(field_obj=None, disc=None, options=None, problem=None,
     re-running the ascent (the runner does this when both are requested).
     """
     problem = _resolve_problem(field_obj, disc, problem)
-    start = time.perf_counter()
+    start = _begin(problem)
     inner = anchor if anchor is not None \
         else estimate_energy_min(problem=problem, options=options)
     G, _ = problem.energy_matrix(inner.matrix)
@@ -350,17 +465,18 @@ def estimate_averaged(field_obj=None, disc=None, options=None, problem=None,
 
 def estimate_self_consistent(field_obj=None, disc=None, options=None,
                              problem=None):
-    """Damped fixed point of the energy matrix map."""
+    """Fixed point of the energy matrix map, by Newton with a damped
+    fallback."""
     problem = _resolve_problem(field_obj, disc, problem)
     options = options or FixedPointOptions()
-    start = time.perf_counter()
+    start = _begin(problem)
     A, residuals, converged, final_residual = damped_fixed_point(problem, options)
     if not converged:
         log.warning("self-consistent iteration did not reach tol=%.1e "
                     "(final residual %.3e)", options.tol, final_residual)
     return _report("self_consistent", start, A, problem.bounds,
                    problem=problem, converged=converged,
-                   iterations=len(residuals), trace=residuals,
+                   iterations=len(residuals) - 1, trace=residuals,
                    residual=final_residual,
                    meta={"fixed_point": {"damping": options.damping,
                                          "tol": options.tol,
@@ -369,16 +485,16 @@ def estimate_self_consistent(field_obj=None, disc=None, options=None,
 
 def estimate_self_consistent_scalar(field_obj=None, disc=None, options=None,
                                     problem=None):
-    """Isotropic self-consistent value by bisection."""
+    """Isotropic self-consistent value by bracketed Newton."""
     problem = _resolve_problem(field_obj, disc, problem)
     options = options or BisectOptions()
-    start = time.perf_counter()
+    start = _begin(problem)
     value, trace, converged, iterations = scalar_fixed_point(problem, options)
     return _report("self_consistent_scalar", start,
                    value * np.eye(problem.dim), problem.bounds,
                    problem=problem, converged=converged,
                    iterations=iterations, trace=trace,
-                   residual=abs(trace[-1]) if trace else 0.0,
+                   residual=abs(trace[-1]),
                    meta={"bisection": {"tol": options.tol,
                                        "max_iters": options.max_iters,
                                        "bracket_tol": options.bracket_tol}})
@@ -386,7 +502,7 @@ def estimate_self_consistent_scalar(field_obj=None, disc=None, options=None,
 
 def estimate_periodic_ref(field_obj, r=1.0, divisions=64, quad_order=1):
     """Periodic-cell reference matrix for x -> field(r x), as a report."""
-    start = time.perf_counter()
+    start = _begin()
     matrix = periodic_effective(field_obj, R=r, divisions=divisions,
                                 quad_order=quad_order)
     return _report("periodic_ref", start, matrix, field_obj.bounds,
@@ -399,7 +515,7 @@ def estimate_naive(field_obj=None, exterior=None, disc=None, problem=None):
     problem = _resolve_problem(field_obj, disc, problem)
     if exterior is None:
         exterior = initial_matrix(problem)
-    start = time.perf_counter()
+    start = _begin(problem)
     matrix = problem.flux_average(np.asarray(exterior, dtype=float))
     return _report("naive", start, matrix, problem.bounds, problem=problem,
                    meta={"exterior": np.asarray(exterior).tolist()})

@@ -399,8 +399,8 @@ class LinearSolver:
     """Reusable solver for one stiffness matrix and many loads.
 
     method "direct" factorizes once (sparse LU, see sparse_lu) and
-    back-substitutes per load; "cg" runs Jacobi-preconditioned conjugate
-    gradients per load.
+    back-substitutes per load (a load may be an (n, k) block of columns);
+    "cg" runs Jacobi-preconditioned conjugate gradients per load vector.
     """
 
     def __init__(self, K, disc):
@@ -417,7 +417,7 @@ class LinearSolver:
     def solve(self, F, x0=None):
         norm_f = np.linalg.norm(F)
         if norm_f == 0.0:
-            return np.zeros(self.K.shape[0]), SolveStats(self.method, 0, 0.0)
+            return np.zeros(np.shape(F)), SolveStats(self.method, 0, 0.0)
         if self.method == "direct":
             x = self._lu.solve(F)
             residual = float(np.linalg.norm(F - self.K @ x) / norm_f)

@@ -47,6 +47,20 @@ def as_spd(value, dim):
     return mat
 
 
+def symmetric_basis(dim):
+    """The unit directions U_k of symmetric matrices, (m, dim, dim) with
+    m = dim (dim + 1) / 2: e_a e_a^T on the diagonal, e_a e_b^T + e_b e_a^T
+    off it, for a <= b in np.triu_indices order. A symmetric A is
+    sum_k A[triu_k] U_k; these are the coordinates of the estimators'
+    second-order steps.
+    """
+    upper = np.triu_indices(dim)
+    basis = np.zeros((len(upper[0]), dim, dim))
+    for k, (a, b) in enumerate(zip(*upper)):
+        basis[k, a, b] = basis[k, b, a] = 1.0
+    return basis
+
+
 def check_admissible(mat, bounds, tol=1e-10, what="matrix"):
     """Validate symmetry and spectrum in [alpha, beta]; return the matrix.
 

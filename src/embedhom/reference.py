@@ -113,8 +113,9 @@ class Harmonic1DModel:
     """Closed-form energy backend for 1D fields, for the estimator loops.
 
     Exposes the same surface the discretized problem does (trace objective
-    with gradient, energy matrix, mean coefficient), so optimizer, fixed
-    point and bisection run unchanged on exact energies.
+    with gradient and Hessian, energy matrix with Jacobian, mean
+    coefficient), so the ascent and both fixed-point iterations run
+    unchanged on exact energies.
     """
 
     def __init__(self, field, lo=-1.0, hi=1.0):
@@ -135,9 +136,16 @@ class Harmonic1DModel:
         grad = np.array([[2.0 - 2.0 * a / self.h_mean]])
         return value, grad
 
+    def trace_hessian(self, exterior):
+        return np.array([[-2.0 / self.h_mean]])
+
     def energy_matrix(self, exterior):
         value, _ = self.trace_objective(exterior)
         return np.array([[value]]), []
+
+    def energy_jacobian(self, exterior):
+        a = float(np.asarray(exterior).reshape(-1)[0])
+        return np.array([[[2.0 - 2.0 * a / self.h_mean]]])
 
     def flux_average(self, exterior):
         # constant 1D flux: the ball average is the exterior value itself

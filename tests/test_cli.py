@@ -366,7 +366,7 @@ method: METHODS
 naive_exterior: [[2.0, 0.3], [0.3, 1.5]]
 discretization: {L: 2.0, h: 0.2}
 periodic: {divisions: 16}
-optimizer: {grad_tol: 1e-3, max_iters: 4}
+optimizer: {grad_tol: 1e-12, max_iters: 2}
 fixed_point: {damping: 0.7}
 bisect: {tol: 1e-4}
 """
@@ -404,8 +404,8 @@ def test_run_point_passes_config_options():
         assert np.array_equal(report["matrix"], direct[method].matrix), method
     meta = {m: r["metadata"] for m, r in reports.items()}
     assert meta["naive"]["exterior"] == [[2.0, 0.3], [0.3, 1.5]]
-    assert meta["energy_min"]["optimizer"] == {"grad_tol": 1e-3, "max_iters": 4}
-    assert reports["energy_min"]["iterations"] == 4     # max_iters ends it
+    assert meta["energy_min"]["optimizer"] == {"grad_tol": 1e-12, "max_iters": 2}
+    assert reports["energy_min"]["iterations"] == 2     # max_iters ends it
     assert meta["self_consistent"]["fixed_point"]["damping"] == 0.7
     assert meta["self_consistent_scalar"]["bisection"]["tol"] == 1e-4
     assert meta["periodic_ref"]["divisions"] == 16
@@ -431,6 +431,10 @@ def test_averaged_before_energy_min_shares_one_ascent(monkeypatch):
     _, alone = _point_reports("[averaged]")    # alone, it runs its own ascent
     assert len(calls) == 1
     alone["averaged"].pop("wall_ms")
+    # the work differs: alone, the ascent's factorizations are its own
+    alone_work = alone["averaged"]["metadata"].pop("work")
+    shared_work = ordered["averaged"]["metadata"].pop("work")
+    assert alone_work["factorizations"] > shared_work["factorizations"]
     assert alone["averaged"] == ordered["averaged"]
 
 

@@ -7,7 +7,7 @@ from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import InvalidCoefficientError
 from embedhom.fem import Discretization, assemble_stiffness
 from embedhom.fields import make_checkerboard, make_constant, make_one_dim_piecewise
-from embedhom.matrices import EllipticityBounds
+from embedhom.matrices import EllipticityBounds, symmetric_basis
 
 BOUNDS = EllipticityBounds(0.25, 8.0)
 DISC_2D = Discretization(dim=2, L=2.0, h=0.1)
@@ -173,9 +173,63 @@ def test_system_cache_and_solve_count():
     prob = checkerboard_problem(seed=1)
     ext = 2.0 * np.eye(2)
     assert prob.system(ext) is prob.system(ext.copy())
+    assert prob.factorization_count == 1
     before = prob.solve_count
     prob.energy_matrix(ext)
     assert prob.solve_count - before == 2
+    # the derivatives reuse the factorization and the unit solves at ext:
+    # the Jacobian costs no solve, the Hessian one block solve a unit slope
+    prob.energy_jacobian(ext)
+    assert prob.solve_count - before == 2
+    prob.trace_hessian(ext)
+    assert prob.solve_count - before == 4
+    assert prob.factorization_count == 1
+    prob.trace_objective(3.0 * np.eye(2))
+    assert prob.factorization_count == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivatives_match_central_differences(dim):
+    # Hessian of Tr G and Jacobian of G in the coordinates A = sum theta_k
+    # U_k, against central differences of the exact gradient and of G
+    if dim == 2:
+        prob = checkerboard_problem(seed=3)
+        A = np.array([[2.0, 0.3], [0.3, 1.7]])
+    else:
+        field = make_one_dim_piecewise([-0.5, 0.3], [1.0, 4.0, 2.0], BOUNDS)
+        prob = EmbeddedProblem(field, DISC_1D)
+        A = np.array([[1.8]])
+    basis = symmetric_basis(dim)
+    H = prob.trace_hessian(A)
+    J = prob.energy_jacobian(A)
+    assert H.shape == (len(basis), len(basis))
+    assert J.shape == (len(basis), dim, dim)
+    eps = 1e-4
+    for k, U in enumerate(basis):
+        dgrad = prob.trace_objective(A + eps * U)[1] \
+            - prob.trace_objective(A - eps * U)[1]
+        fd = [np.sum(dgrad * V) / (2.0 * eps) for V in basis]
+        assert np.allclose(H[:, k], fd, rtol=0.0, atol=1e-8)
+        dG = prob.energy_matrix(A + eps * U)[0] - prob.energy_matrix(A - eps * U)[0]
+        assert np.allclose(J[k], dG / (2.0 * eps), rtol=0.0, atol=1e-8)
+    assert np.array_equal(H, H.T)
+    assert np.linalg.eigvalsh(H)[-1] < 0.0      # Tr G is concave
+    # the trace of the Jacobian is the gradient of Tr G
+    _, grad = prob.trace_objective(A)
+    assert np.allclose(np.einsum("kii->k", J),
+                       np.einsum("kab,ab->k", basis, grad), atol=1e-14)
+
+
+def test_hessian_on_cg_path_solves_column_by_column():
+    field = make_checkerboard([1.0, 4.0], [0.5, 0.5], seed=3, bounds=BOUNDS)
+    A = np.array([[2.0, 0.3], [0.3, 1.7]])
+    direct = checkerboard_problem(seed=3).trace_hessian(A)
+    prob = EmbeddedProblem(field, Discretization(dim=2, L=2.0, h=0.1,
+                                                 solver="cg"))
+    H = prob.trace_hessian(A)
+    # two unit solves, then one CG solve per unit slope and direction
+    assert prob.solve_count == 2 + 2 * 3
+    assert np.allclose(H, direct, rtol=0.0, atol=1e-8)
 
 
 def test_energy_matrix_off_diagonal_is_polarization():

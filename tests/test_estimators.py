@@ -1,6 +1,7 @@
 """Estimator behavior: exact homogeneous identities, iteration mechanics, flags."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_one_dim_model_fixed_points_hit_harmonic_mean():
     assert abs(scalar.matrix[0, 0] - model.h_mean) < 1e-9
 
 
+def test_one_dim_model_derivatives_closed_form():
+    # Tr G(a) = 2a - a^2/H: Hessian -2/H and dG/da = 2 - 2a/H, also against
+    # central differences of the model's own energies
+    model, _ = one_dim_model()
+    H, a, eps = model.h_mean, 1.7, 1e-4
+    hess, jac = model.trace_hessian([[a]]), model.energy_jacobian([[a]])
+    assert hess.tolist() == [[-2.0 / H]]
+    assert jac.tolist() == [[[2.0 - 2.0 * a / H]]]
+    dgrad = (model.trace_objective([[a + eps]])[1]
+             - model.trace_objective([[a - eps]])[1])
+    assert np.allclose(hess, dgrad / (2 * eps), atol=1e-10)
+    dG = model.energy_matrix([[a + eps]])[0] - model.energy_matrix([[a - eps]])[0]
+    assert np.allclose(jac[0], dG / (2 * eps), atol=1e-10)
+
+
 def test_one_dim_fem_matches_model_on_aligned_field():
     # interfaces on mesh points: the P1 solution is exact, so the FEM route
     # must agree with the closed form to solver precision
@@ -147,6 +163,62 @@ def test_ascent_monotone_and_converged():
     assert (diffs >= -1e-12).all()
     assert rep.max_rel1 <= 1e-6
     assert rep.objective == rep.trace[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_second_order_iterations_factorization_counts(seed):
+    # one factorization per exterior matrix is the cost unit; the Newton
+    # iterations need a handful where first-order ones needed 20 to 40
+    prob = checkerboard_problem(seed=seed)
+    caps = ((estimate_energy_min, 8), (estimate_self_consistent, 10),
+            (estimate_self_consistent_scalar, 12))
+    for estimate, cap in caps:
+        before = prob.solve_count
+        rep = estimate(problem=prob)
+        method = rep.method
+        assert rep.converged, method
+        work = rep.metadata["work"]
+        assert 1 <= work["factorizations"] <= cap, (method, work)
+        assert work["solves"] == prob.solve_count - before, method
+    assert rep.residual <= BisectOptions().tol
+
+
+def test_newton_ascent_to_cone_boundary_maximizer():
+    # a constant 1 I field with bounds [1, 4]: the maximizer 1 I sits on the
+    # cone's edge, so the Newton point from inside lies past it and is
+    # projected back; initial_matrix reads initial_guess off any options
+    field = make_constant(1.0, EllipticityBounds(1.0, 4.0), dim=2)
+    prob = EmbeddedProblem(field, Discretization(dim=2, L=2.0, h=0.1))
+    for start in (2.5 * np.eye(2), np.array([[3.0, 0.5], [0.5, 1.5]])):
+        opts = SimpleNamespace(**vars(OptimizerOptions()), initial_guess=start)
+        rep = estimate_energy_min(problem=prob, options=opts)
+        assert rep.converged
+        assert np.allclose(rep.matrix, np.eye(2), atol=1e-10)
+        assert np.isclose(rep.objective, 2.0, atol=1e-12)
+        assert (np.diff(rep.trace) > 0).all()
+        assert rep.metadata["work"]["factorizations"] <= 3
+
+
+def test_ascent_stops_where_rounding_hides_the_increase():
+    # grad_tol below rounding cannot be met; once no step can show an
+    # increase, the search must stop instead of factorizing down to min_step
+    prob = checkerboard_problem(seed=0)
+    rep = estimate_energy_min(problem=prob,
+                              options=OptimizerOptions(grad_tol=1e-30))
+    assert not rep.converged
+    assert rep.metadata["work"]["factorizations"] <= 8
+    assert (np.diff(rep.trace) >= 0).all()
+
+
+def test_scalar_reports_gap_at_returned_value():
+    # the residual is the gap at the value returned, an evaluated end of
+    # the final bracket, not at some other point of the search
+    prob = checkerboard_problem(seed=1)
+    rep = estimate_self_consistent_scalar(problem=prob)
+    a = rep.matrix[0, 0]
+    gap = prob.trace_objective(a * np.eye(2))[0] / 2.0 - a
+    assert rep.residual == abs(gap) == abs(rep.trace[-1])
+    assert rep.iterations == len(rep.trace) - 2
 
 
 def test_fd_gradient_check_small():
