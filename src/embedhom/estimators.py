@@ -133,9 +133,9 @@ def _base_metadata(problem):
     disc = getattr(problem, "disc", None)
     if disc is not None:
         meta["discretization"] = {
-            "dim": disc.dim, "L": disc.L, "h": disc.h,
+            "dim": disc.dim, "L": disc.L, "h": disc.h, "grading": disc.grading,
             "quad_order": disc.quad_order, "cg_tol": disc.cg_tol,
-            "solver": disc.solver,
+            "solver": disc.solver, "dofs": problem.mesh.n_dofs,
         }
     return meta
 

@@ -2,7 +2,11 @@
 
 The computational domain is the box [-L, L]^d (d = 1 or 2) with homogeneous
 Dirichlet data on its outer boundary; the unit ball carries the heterogeneous
-coefficient, so L >= 2 keeps it strictly interior. 2D cells are split into
+coefficient, so L >= 2 keeps it strictly interior. The mesh is a tensor
+product of one tick vector per axis (the same on both axes): spacing h on a
+core [-c, c], c = h * ceil(1.25 / h), that holds the ball, then cells that
+grow by a fixed ratio out to L, where the exterior is constant and the
+corrector decays like a dipole (see axis_ticks). 2D cells are split into
 two triangles with alternating diagonals to avoid directional mesh bias.
 Coefficients are sampled per quadrature point (edge-midpoint rule by default),
 which resolves the ball indicator to O(h) without any interface fitting.
@@ -19,6 +23,10 @@ from .errors import ConvergenceError, GeometryError, InvalidCoefficientError
 # "auto" solver policy: sparse LU below this many unknowns, CG above.
 DIRECT_DOF_CAP = 300_000
 
+# half-width of the uniform core around the unit ball, before it is rounded
+# up to a whole number of core cells
+CORE_HALF_WIDTH = 1.25
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -26,7 +34,8 @@ class Discretization:
 
     dim: int
     L: float = 5.0
-    h: float = 0.05
+    h: float = 0.05             # core spacing
+    grading: float = 1.1        # growth ratio of the outer cells; 1: uniform
     quad_order: int = 2
     cg_tol: float = 1e-10
     cg_max_iter: int | None = None
@@ -42,6 +51,10 @@ class Discretization:
             )
         if not 0.0 < self.h <= self.L:
             raise GeometryError(f"mesh spacing h={self.h} must be in (0, L]")
+        if not 1.0 <= self.grading <= 2.0:
+            raise GeometryError(
+                f"grading={self.grading} must be a finite ratio in [1, 2]"
+            )
         if self.quad_order < 1 or (self.dim == 2 and self.quad_order > 2):
             raise GeometryError(
                 f"quad_order={self.quad_order} unsupported "
@@ -63,8 +76,7 @@ class Mesh:
     """
 
     dim: int
-    L: float
-    n: int                      # divisions per side
+    ticks: np.ndarray           # (n + 1,) vertex coordinates along each axis
     vertices: np.ndarray        # (nv, dim)
     elements: np.ndarray        # (ne, dim+1) vertex indices
     boundary: np.ndarray        # (nv,) bool
@@ -91,6 +103,11 @@ class Mesh:
         as large as a stack of element matrices.
         """
         return scatter_plan(self.elements, self.interior_pos, self.n_dofs)
+
+    @property
+    def n(self):
+        """Divisions per side."""
+        return len(self.ticks) - 1
 
     @property
     def n_vertices(self):
@@ -120,25 +137,66 @@ def _gauss_rule_1d(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def build_mesh(disc):
-    """Build the structured mesh for a Discretization.
+def axis_ticks(L, h, grading, max_ticks):
+    """Vertex coordinates along one axis of [-L, L], symmetric about 0.
 
-    Vertices lie on a uniform grid of spacing 2L/ceil(2L/h) <= h; the total
-    mesh measure is exactly (2L)^d.
+    The core ticks are i * h for |i| <= k, k = ceil(1.25 / h), so interfaces
+    at multiples of h lie on mesh lines. Outward from the core, each cell is
+    `grading` times as wide as the one inside it while such a cell still ends
+    within L. The remainder up to L closes the axis: as a cell of its own if
+    it is at least as wide as the cell inside it, else by widening that cell
+    to end at L. With grading 1, or when fewer than one core cell fits
+    outside the core, the ticks are uniform: linspace(-L, L, ceil(2L/h) + 1).
+    Raises GeometryError, before building them, where there would be more
+    than max_ticks ticks.
     """
-    n = int(np.ceil(2.0 * disc.L / disc.h))
-    nv = (n + 1) ** disc.dim
+
+    def check(count):
+        if count > max_ticks:
+            raise GeometryError(
+                f"mesh would have more than {max_ticks} ticks per axis; "
+                f"coarsen h or lower L"
+            )
+
+    k = int(np.ceil(CORE_HALF_WIDTH / h))
+    if grading == 1.0 or (k + 1) * h > L:
+        n = int(np.ceil(2.0 * L / h))
+        check(n + 1)
+        return np.linspace(-L, L, n + 1)
+    edges = [k * h]
+    width = h
+    while edges[-1] + width * grading <= L:
+        check(2 * (k + len(edges)) + 1)
+        width *= grading
+        edges.append(edges[-1] + width)
+    if len(edges) > 1 and L - edges[-1] < width:
+        edges[-1] = L
+    else:
+        edges.append(L)
+    check(2 * (k + len(edges)) - 1)
+    outer = np.array(edges[1:])
+    return np.concatenate([-outer[::-1], h * np.arange(-k, k + 1), outer])
+
+
+def build_mesh(disc):
+    """Build the tensor-product mesh of a Discretization (see axis_ticks).
+
+    The vertex count is checked against max_vertices before the mesh is
+    built; the total mesh measure is exactly (2L)^d.
+    """
+    ticks = axis_ticks(disc.L, disc.h, disc.grading, disc.max_vertices)
+    nv = len(ticks) ** disc.dim
     if nv > disc.max_vertices:
         raise GeometryError(
             f"mesh would have {nv} vertices, above the cap "
             f"{disc.max_vertices}; coarsen h or lower L"
         )
-    return box_mesh(disc.dim, disc.L, n, disc.quad_order)
+    return box_mesh(disc.dim, ticks, disc.quad_order)
 
 
-def box_mesh(dim, half_width, n, quad_order):
-    """Uniform simplicial mesh of [-half_width, half_width]^dim, n per side."""
-    ticks = np.linspace(-half_width, half_width, n + 1)
+def box_mesh(dim, ticks, quad_order):
+    """Simplicial mesh of the tensor grid ticks^dim (increasing ticks)."""
+    n = len(ticks) - 1
     if dim == 1:
         vertices = ticks.reshape(-1, 1)
         elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
@@ -151,7 +209,7 @@ def box_mesh(dim, half_width, n, quad_order):
         quad_x = (ticks[:-1, None] + np.outer(volumes, xi))[:, :, None]
         quad_w = np.outer(volumes, wref)
         phi_q = np.stack([1.0 - xi, xi], axis=1)
-        return Mesh(1, half_width, n, vertices, elements, boundary,
+        return Mesh(1, ticks, vertices, elements, boundary,
                     grads, volumes, quad_x, quad_w, phi_q)
 
     xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
@@ -199,7 +257,7 @@ def box_mesh(dim, half_width, n, quad_order):
                                         np.stack([e1, e2], axis=2))
     quad_w = np.outer(volumes, wref)
     phi_q = np.stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]], axis=1)
-    return Mesh(2, half_width, n, vertices, elements, boundary,
+    return Mesh(2, ticks, vertices, elements, boundary,
                 grads, volumes, quad_x, quad_w, phi_q)
 
 

@@ -177,7 +177,7 @@ def periodic_effective(field, R=1.0, divisions=64, quad_order=1):
     n = int(divisions)
     if n < 2:
         raise GeometryError(f"divisions must be >= 2, got {divisions}")
-    mesh = box_mesh(field.dim, 0.5, n, quad_order)
+    mesh = box_mesh(field.dim, np.linspace(-0.5, 0.5, n + 1), quad_order)
     coeff = rescale(field, R) if R != 1.0 else field
     reduced = reduce_coefficient(mesh, coeff.evaluate)
 

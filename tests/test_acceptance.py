@@ -198,6 +198,23 @@ def test_criterion_04_naive_average_bias(capsys):
     )
 
 
+def test_far_field_limit_on_graded_boxes():
+    # unit-coefficient ball in a 2I exterior: the energy matrix has the
+    # closed form (2/3) I in the infinite exterior. On the graded mesh a box
+    # of L = 512 costs a few times the dofs of L = 8; the truncation error
+    # must fall from L = 8 to 64, after which the core h's error remains
+    bounds = EllipticityBounds(1.0, 2.0)
+    field = make_constant(1.0, bounds, dim=2)
+    errs = {}
+    for L in (8.0, 64.0, 512.0):
+        problem = EmbeddedProblem(field, Discretization(dim=2, L=L, h=0.05))
+        G = problem.energy_matrix(2.0 * np.eye(2))[0]
+        errs[L] = float(np.abs(G - (2.0 / 3.0) * np.eye(2)).max())
+        assert problem.mesh.n_dofs < 40_000
+        assert problem.max_rel1_seen <= 1e-6
+    assert errs[64.0] < errs[8.0] and errs[512.0] <= errs[64.0], errs
+
+
 @_criterion(5)
 def test_criterion_05_trace_concavity(capsys):
     # the trace objective is concave in the exterior matrix: random chords

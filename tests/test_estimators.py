@@ -327,7 +327,9 @@ def test_reports_serialize_to_json():
         assert np.asarray(back["matrix"]).shape == (2, 2)
         assert isinstance(back["flags"], list)
         assert back["metadata"]["backend"] == "EmbeddedProblem"
-        assert back["metadata"]["discretization"]["h"] == DISC.h
+        disc = back["metadata"]["discretization"]
+        assert (disc["h"], disc["grading"]) == (DISC.h, DISC.grading)
+        assert disc["dofs"] == prob.mesh.n_dofs > 0
 
 
 def test_fd_check_option_records_metadata():

@@ -1,5 +1,7 @@
 """Mesh construction, assembly, and linear solver tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,6 +14,7 @@ from embedhom.fem import (
     LinearSolver,
     assemble_stiffness,
     assemble_vector,
+    axis_ticks,
     build_mesh,
     reduce_coefficient,
     solve_cg,
@@ -52,8 +55,8 @@ def test_mesh_counts_2d():
 
 
 def test_mesh_spacing_rounds_down():
-    # h that does not divide 2L gets shrunk, never stretched
-    mesh = build_mesh(Discretization(dim=2, L=2.0, h=0.3))
+    # on a uniform mesh, h that does not divide 2L gets shrunk, never stretched
+    mesh = build_mesh(Discretization(dim=2, L=2.0, h=0.3, grading=1.0))
     assert mesh.n == int(np.ceil(4.0 / 0.3))
     widths = np.diff(np.unique(mesh.vertices[:, 0]))
     assert widths.max() <= 0.3 + 1e-12
@@ -120,9 +123,99 @@ def test_discretization_validation():
     build_mesh(Discretization(dim=1, L=2.0, h=0.5, quad_order=4))
 
 
+@pytest.mark.parametrize("grading", [float("nan"), float("inf"), 0.9, 2.5])
+def test_grading_validation(grading):
+    with pytest.raises(GeometryError, match="grading"):
+        Discretization(dim=2, L=4.0, h=0.1, grading=grading)
+
+
 def test_vertex_cap():
     with pytest.raises(GeometryError):
         build_mesh(Discretization(dim=2, L=4.0, h=0.01, max_vertices=1000))
+
+
+def test_vertex_cap_counts_graded_ticks():
+    # 199^2 graded vertices, where the uniform mesh would have 801^2
+    disc = Discretization(dim=2, L=8.0, h=0.02)
+    nv = len(axis_ticks(disc.L, disc.h, disc.grading, 10**6)) ** 2
+    assert nv < 801 ** 2
+    assert build_mesh(replace(disc, max_vertices=nv)).n_vertices == nv
+    with pytest.raises(GeometryError, match=f"{nv} vertices"):
+        build_mesh(replace(disc, max_vertices=nv - 1))
+
+
+@pytest.mark.parametrize("h, grading", [(1e-9, 1.0), (1e-9, 1.1),
+                                        (0.05, 1.0 + 1e-12)])
+def test_vertex_cap_stops_the_ticks_early(h, grading):
+    # billions of ticks per axis: rejected before any tick array is built
+    disc = Discretization(dim=2, L=1e9, h=h, grading=grading, max_vertices=1000)
+    with pytest.raises(GeometryError, match="more than 1000 ticks per axis"):
+        build_mesh(disc)
+
+
+# ---------------------------------------------------------------------------
+# graded tick vector
+# ---------------------------------------------------------------------------
+
+TICK_CASES = [(2.0, 0.2, 1.1), (4.0, 0.03125, 1.1), (8.0, 0.05, 1.1),
+              (512.0, 0.05, 1.1), (5.0, 0.1, 1.3), (3.0, 0.07, 2.0),
+              (4.0, 0.3, 1.05)]
+
+
+def _core(ticks, h):
+    """Number k of core cells per side, and the core ticks."""
+    k = int(np.ceil(1.25 / h))
+    mid = len(ticks) // 2
+    return k, ticks[mid - k: mid + k + 1]
+
+
+@pytest.mark.parametrize("L, h, grading", TICK_CASES)
+def test_core_ticks_are_multiples_of_h(L, h, grading):
+    ticks = axis_ticks(L, h, grading, 10**6)
+    k, core = _core(ticks, h)
+    assert np.array_equal(core, h * np.arange(-k, k + 1))
+    assert core[-1] >= 1.25
+
+
+@pytest.mark.parametrize("L, h, grading", TICK_CASES)
+def test_ticks_symmetric_and_end_at_L(L, h, grading):
+    ticks = axis_ticks(L, h, grading, 10**6)
+    assert np.array_equal(ticks, -ticks[::-1])
+    assert ticks[-1] == L
+    assert (np.diff(ticks) > 0).all()
+
+
+@pytest.mark.parametrize("L, h, grading", TICK_CASES)
+def test_outer_spacings_grow_by_at_most_grading(L, h, grading):
+    ticks = axis_ticks(L, h, grading, 10**6)
+    k, _ = _core(ticks, h)
+    # the outer cells, from the last core cell outward
+    widths = np.diff(ticks[len(ticks) // 2 + k - 1:])
+    assert len(widths) >= 2
+    ratios = widths[1:] / widths[:-1]
+    assert (ratios >= 1.0 - 1e-12).all()
+    # every cell but the closing one grows by at most the grading
+    assert (ratios[:-1] <= grading * (1.0 + 1e-12)).all()
+
+
+# grading 1, or a core (c = h * ceil(1.25 / h) = 2) that reaches L at any
+# grading: the uniform ticks
+@pytest.mark.parametrize("L, h, grading", [(2.0, 0.3, 1.0), (4.0, 0.03125, 1.0),
+                                           (8.0, 0.05, 1.0), (2.0, 1.0, 1.5)])
+def test_uniform_ticks_reproduce_linspace(L, h, grading):
+    uniform = np.linspace(-L, L, int(np.ceil(2.0 * L / h)) + 1)
+    assert np.array_equal(axis_ticks(L, h, grading, 10**6), uniform)
+    mesh = build_mesh(Discretization(dim=2, L=L, h=h, grading=grading))
+    assert np.array_equal(np.unique(mesh.vertices[:, 0]), uniform)
+
+
+def test_graded_mesh_covers_box():
+    mesh = build_mesh(Discretization(dim=2, L=8.0, h=0.1))
+    assert (mesh.volumes > 0).all()
+    assert np.isclose(mesh.volumes.sum(), 256.0, rtol=1e-13)
+    a = np.array([0.7, -1.3])
+    assert np.allclose(mesh.element_gradients(mesh.vertices @ a), a,
+                       atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +304,10 @@ def test_assemble_vector_scatter():
 
 
 def poisson_error(n):
-    """Max vertex error for -div(grad u) = f, u = sin(pi x/4) sin(pi y/4)."""
+    """Max vertex error for -div(grad u) = f, u = sin(pi x/4) sin(pi y/4),
+    on the uniform n x n mesh (the P1 rate is that of a uniform grid)."""
     L = 4.0
-    disc = Discretization(dim=2, L=L, h=2.0 * L / n)
+    disc = Discretization(dim=2, L=L, h=2.0 * L / n, grading=1.0)
     mesh = build_mesh(disc)
     k = np.pi / 4.0
 
