@@ -249,8 +249,6 @@ _SCHEMA = {
         lambda v: v >= 2.0, "L = {v}: the unit ball must be strictly interior "
                             "to the truncated box, which needs L >= 2")),
     "discretization.h": _Key(),
-    "discretization.grading": _Key(check=_check(
-        lambda v: 1.0 <= v <= 2.0, "must be a finite ratio in [1, 2], got {v!r}")),
     "discretization.quad_order": _Key(),
     "discretization.cg_tol": _Key(),
     "discretization.cg_max_iter": _Key(check=_POSITIVE),

@@ -133,7 +133,7 @@ def _base_metadata(problem):
     disc = getattr(problem, "disc", None)
     if disc is not None:
         meta["discretization"] = {
-            "dim": disc.dim, "L": disc.L, "h": disc.h, "grading": disc.grading,
+            "dim": disc.dim, "L": disc.L, "h": disc.h,
             "quad_order": disc.quad_order, "cg_tol": disc.cg_tol,
             "solver": disc.solver, "dofs": problem.mesh.n_dofs,
         }

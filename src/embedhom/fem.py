@@ -27,6 +27,9 @@ DIRECT_DOF_CAP = 300_000
 # up to a whole number of core cells
 CORE_HALF_WIDTH = 1.25
 
+# width ratio of each outer cell to the one inside it
+GRADING = 1.1
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -35,7 +38,6 @@ class Discretization:
     dim: int
     L: float = 5.0
     h: float = 0.05             # core spacing
-    grading: float = 1.1        # growth ratio of the outer cells; 1: uniform
     quad_order: int = 2
     cg_tol: float = 1e-10
     cg_max_iter: int | None = None
@@ -51,10 +53,6 @@ class Discretization:
             )
         if not 0.0 < self.h <= self.L:
             raise GeometryError(f"mesh spacing h={self.h} must be in (0, L]")
-        if not 1.0 <= self.grading <= 2.0:
-            raise GeometryError(
-                f"grading={self.grading} must be a finite ratio in [1, 2]"
-            )
         if self.quad_order < 1 or (self.dim == 2 and self.quad_order > 2):
             raise GeometryError(
                 f"quad_order={self.quad_order} unsupported "
@@ -76,7 +74,6 @@ class Mesh:
     """
 
     dim: int
-    ticks: np.ndarray           # (n + 1,) vertex coordinates along each axis
     vertices: np.ndarray        # (nv, dim)
     elements: np.ndarray        # (ne, dim+1) vertex indices
     boundary: np.ndarray        # (nv,) bool
@@ -103,11 +100,6 @@ class Mesh:
         as large as a stack of element matrices.
         """
         return scatter_plan(self.elements, self.interior_pos, self.n_dofs)
-
-    @property
-    def n(self):
-        """Divisions per side."""
-        return len(self.ticks) - 1
 
     @property
     def n_vertices(self):
@@ -137,37 +129,37 @@ def _gauss_rule_1d(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def axis_ticks(L, h, grading, max_ticks):
+def axis_ticks(L, h, dim, max_vertices):
     """Vertex coordinates along one axis of [-L, L], symmetric about 0.
 
     The core ticks are i * h for |i| <= k, k = ceil(1.25 / h), so interfaces
     at multiples of h lie on mesh lines. Outward from the core, each cell is
-    `grading` times as wide as the one inside it while such a cell still ends
+    GRADING times as wide as the one inside it while such a cell still ends
     within L. The remainder up to L closes the axis: as a cell of its own if
     it is at least as wide as the cell inside it, else by widening that cell
-    to end at L. With grading 1, or when fewer than one core cell fits
-    outside the core, the ticks are uniform: linspace(-L, L, ceil(2L/h) + 1).
-    Raises GeometryError, before building them, where there would be more
-    than max_ticks ticks.
+    to end at L. When fewer than one core cell fits outside the core, the
+    ticks are uniform: linspace(-L, L, ceil(2L/h) + 1). Raises GeometryError,
+    before building them, where the tensor grid of dim axes would have more
+    than max_vertices vertices.
     """
 
     def check(count):
-        if count > max_ticks:
+        if count ** dim > max_vertices:
             raise GeometryError(
-                f"mesh would have more than {max_ticks} ticks per axis; "
-                f"coarsen h or lower L"
+                f"mesh would have at least {count ** dim} vertices, above "
+                f"the cap {max_vertices}; coarsen h or lower L"
             )
 
     k = int(np.ceil(CORE_HALF_WIDTH / h))
-    if grading == 1.0 or (k + 1) * h > L:
+    if (k + 1) * h > L:
         n = int(np.ceil(2.0 * L / h))
         check(n + 1)
         return np.linspace(-L, L, n + 1)
     edges = [k * h]
     width = h
-    while edges[-1] + width * grading <= L:
+    while edges[-1] + width * GRADING <= L:
         check(2 * (k + len(edges)) + 1)
-        width *= grading
+        width *= GRADING
         edges.append(edges[-1] + width)
     if len(edges) > 1 and L - edges[-1] < width:
         edges[-1] = L
@@ -184,13 +176,7 @@ def build_mesh(disc):
     The vertex count is checked against max_vertices before the mesh is
     built; the total mesh measure is exactly (2L)^d.
     """
-    ticks = axis_ticks(disc.L, disc.h, disc.grading, disc.max_vertices)
-    nv = len(ticks) ** disc.dim
-    if nv > disc.max_vertices:
-        raise GeometryError(
-            f"mesh would have {nv} vertices, above the cap "
-            f"{disc.max_vertices}; coarsen h or lower L"
-        )
+    ticks = axis_ticks(disc.L, disc.h, disc.dim, disc.max_vertices)
     return box_mesh(disc.dim, ticks, disc.quad_order)
 
 
@@ -209,7 +195,7 @@ def box_mesh(dim, ticks, quad_order):
         quad_x = (ticks[:-1, None] + np.outer(volumes, xi))[:, :, None]
         quad_w = np.outer(volumes, wref)
         phi_q = np.stack([1.0 - xi, xi], axis=1)
-        return Mesh(1, ticks, vertices, elements, boundary,
+        return Mesh(1, vertices, elements, boundary,
                     grads, volumes, quad_x, quad_w, phi_q)
 
     xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
@@ -257,7 +243,7 @@ def box_mesh(dim, ticks, quad_order):
                                         np.stack([e1, e2], axis=2))
     quad_w = np.outer(volumes, wref)
     phi_q = np.stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]], axis=1)
-    return Mesh(2, ticks, vertices, elements, boundary,
+    return Mesh(2, vertices, elements, boundary,
                 grads, volumes, quad_x, quad_w, phi_q)
 
 

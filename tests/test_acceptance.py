@@ -202,7 +202,9 @@ def test_far_field_limit_on_graded_boxes():
     # unit-coefficient ball in a 2I exterior: the energy matrix has the
     # closed form (2/3) I in the infinite exterior. On the graded mesh a box
     # of L = 512 costs a few times the dofs of L = 8; the truncation error
-    # must fall from L = 8 to 64, after which the core h's error remains
+    # must fall from L = 8 to 64, after which the core h's error remains.
+    # Jacobi CG must also converge on the L = 512 mesh, whose outer band
+    # cells have aspect ratios up to ~L/h, and match the direct solve
     bounds = EllipticityBounds(1.0, 2.0)
     field = make_constant(1.0, bounds, dim=2)
     errs = {}
@@ -213,6 +215,9 @@ def test_far_field_limit_on_graded_boxes():
         assert problem.mesh.n_dofs < 40_000
         assert problem.max_rel1_seen <= 1e-6
     assert errs[64.0] < errs[8.0] and errs[512.0] <= errs[64.0], errs
+    cg = EmbeddedProblem(
+        field, Discretization(dim=2, L=512.0, h=0.05, solver="cg"))
+    assert np.abs(cg.energy_matrix(2.0 * np.eye(2))[0] - G).max() < 1e-8
 
 
 @_criterion(5)

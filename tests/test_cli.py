@@ -68,7 +68,6 @@ HOMOGENEOUS_RESOLVED = """\
   "discretization": {
     "L": 2,
     "h": 0.25,
-    "grading": 1.1000000000000001,
     "quad_order": 2,
     "cg_tol": 1e-10,
     "cg_max_iter": null,
@@ -113,7 +112,7 @@ def test_validate_prints_resolved_tree(tmp_path, capsys):
     assert '"h": 0.25' in out
     assert '"grad_tol": 9.9999999999999995e-07' in out   # full 17-digit floats
     assert f"ok: {path} (hash " in out
-    assert out == HOMOGENEOUS_RESOLVED + f"ok: {path} (hash 52674686860fccdc)\n"
+    assert out == HOMOGENEOUS_RESOLVED + f"ok: {path} (hash 5ff08e9dbe4a71d4)\n"
 
 
 def test_validate_rejects_small_box(tmp_path, capsys):
@@ -122,21 +121,6 @@ def test_validate_rejects_small_box(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "embedhom: config error" in err
     assert "unit ball must be strictly interior" in err
-
-
-@pytest.mark.parametrize("value", [".nan", "0.9", "2.5"])
-def test_bad_grading_exits_2_with_key_path(tmp_path, capsys, value):
-    # non-finite, below 1 and above 2: a config error, never a traceback
-    path = write(tmp_path, HOMOGENEOUS)
-    override = f"discretization.grading={value}"
-    assert main(["validate", path, "--override", override]) == 2
-    assert main(["run", path, "--override", override,
-                 "--out-dir", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("embedhom: config error: discretization.grading") == 2
-    assert "must be a finite ratio in [1, 2]" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_inverted_bounds(tmp_path, capsys):

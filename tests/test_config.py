@@ -33,7 +33,6 @@ def test_minimal_config_defaults():
     assert cfg.rescale == 1.0
     assert cfg.naive_exterior is None
     assert (cfg.disc.L, cfg.disc.h, cfg.disc.quad_order) == (5.0, 0.05, 2)
-    assert cfg.disc.grading == 1.1
     assert cfg.disc.solver == "auto"
     assert cfg.periodic_divisions == 64
     assert cfg.sweep is None
@@ -54,9 +53,9 @@ def test_resolved_tree_and_hash_stability():
     assert a.resolved()["sweep"] is None
     # the schema's output for fixed inputs, pinned: a key added, dropped or
     # renamed, or a default changed, changes these hashes
-    assert a.config_hash() == "d81c8795e6235577"
-    assert parse(RCONV_POINT).config_hash() == "9917e3863487032b"
-    assert parse(FIXED_POINTS).config_hash() == "f9d30eee7b8d8606"
+    assert a.config_hash() == "d94f69032d801f76"
+    assert parse(RCONV_POINT).config_hash() == "dcb1df93b8b109ae"
+    assert parse(FIXED_POINTS).config_hash() == "048ab03fa60e0e5f"
 
 
 # the benchmark's two CLI configs (perfbench/workloads.py) at their default

@@ -328,7 +328,7 @@ def test_reports_serialize_to_json():
         assert isinstance(back["flags"], list)
         assert back["metadata"]["backend"] == "EmbeddedProblem"
         disc = back["metadata"]["discretization"]
-        assert (disc["h"], disc["grading"]) == (DISC.h, DISC.grading)
+        assert disc["h"] == DISC.h
         assert disc["dofs"] == prob.mesh.n_dofs > 0
 
 

@@ -10,11 +10,13 @@ from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import ConvergenceError, GeometryError, InvalidCoefficientError
 from embedhom.fem import (
     DIRECT_DOF_CAP,
+    GRADING,
     Discretization,
     LinearSolver,
     assemble_stiffness,
     assemble_vector,
     axis_ticks,
+    box_mesh,
     build_mesh,
     reduce_coefficient,
     solve_cg,
@@ -29,6 +31,11 @@ def mesh_2d(L=2.0, h=0.5, quad_order=2):
     return build_mesh(Discretization(dim=2, L=L, h=h, quad_order=quad_order))
 
 
+def divisions(mesh):
+    """Cells per side of a tensor-grid mesh."""
+    return len(np.unique(mesh.vertices[:, 0])) - 1
+
+
 # ---------------------------------------------------------------------------
 # mesh geometry
 # ---------------------------------------------------------------------------
@@ -36,7 +43,7 @@ def mesh_2d(L=2.0, h=0.5, quad_order=2):
 
 def test_mesh_counts_1d():
     mesh = build_mesh(Discretization(dim=1, L=2.0, h=1.0))
-    assert mesh.n == 4
+    assert divisions(mesh) == 4
     assert mesh.n_vertices == 5
     assert len(mesh.elements) == 4
     assert mesh.boundary.sum() == 2
@@ -46,7 +53,7 @@ def test_mesh_counts_1d():
 
 def test_mesh_counts_2d():
     mesh = mesh_2d(L=2.0, h=1.0)
-    assert mesh.n == 4
+    assert divisions(mesh) == 4
     assert mesh.n_vertices == 25
     assert len(mesh.elements) == 32
     # 16 boundary vertices on the outer ring of a 5x5 grid
@@ -55,11 +62,13 @@ def test_mesh_counts_2d():
 
 
 def test_mesh_spacing_rounds_down():
-    # on a uniform mesh, h that does not divide 2L gets shrunk, never stretched
-    mesh = build_mesh(Discretization(dim=2, L=2.0, h=0.3, grading=1.0))
-    assert mesh.n == int(np.ceil(4.0 / 0.3))
+    # a box with less than one core cell (c = h * ceil(1.25 / h) = 1.4)
+    # outside the core is meshed uniformly: h that does not divide 2L gets
+    # shrunk, never stretched
+    mesh = build_mesh(Discretization(dim=2, L=2.0, h=0.7))
+    assert divisions(mesh) == int(np.ceil(4.0 / 0.7))
     widths = np.diff(np.unique(mesh.vertices[:, 0]))
-    assert widths.max() <= 0.3 + 1e-12
+    assert widths.max() <= 0.7 + 1e-12
 
 
 def test_triangles_positive_and_cover_box():
@@ -123,12 +132,6 @@ def test_discretization_validation():
     build_mesh(Discretization(dim=1, L=2.0, h=0.5, quad_order=4))
 
 
-@pytest.mark.parametrize("grading", [float("nan"), float("inf"), 0.9, 2.5])
-def test_grading_validation(grading):
-    with pytest.raises(GeometryError, match="grading"):
-        Discretization(dim=2, L=4.0, h=0.1, grading=grading)
-
-
 def test_vertex_cap():
     with pytest.raises(GeometryError):
         build_mesh(Discretization(dim=2, L=4.0, h=0.01, max_vertices=1000))
@@ -137,19 +140,18 @@ def test_vertex_cap():
 def test_vertex_cap_counts_graded_ticks():
     # 199^2 graded vertices, where the uniform mesh would have 801^2
     disc = Discretization(dim=2, L=8.0, h=0.02)
-    nv = len(axis_ticks(disc.L, disc.h, disc.grading, 10**6)) ** 2
+    nv = len(axis_ticks(disc.L, disc.h, 2, 10**6)) ** 2
     assert nv < 801 ** 2
     assert build_mesh(replace(disc, max_vertices=nv)).n_vertices == nv
-    with pytest.raises(GeometryError, match=f"{nv} vertices"):
+    with pytest.raises(GeometryError, match=f"{nv} vertices, above the cap"):
         build_mesh(replace(disc, max_vertices=nv - 1))
 
 
-@pytest.mark.parametrize("h, grading", [(1e-9, 1.0), (1e-9, 1.1),
-                                        (0.05, 1.0 + 1e-12)])
-def test_vertex_cap_stops_the_ticks_early(h, grading):
-    # billions of ticks per axis: rejected before any tick array is built
-    disc = Discretization(dim=2, L=1e9, h=h, grading=grading, max_vertices=1000)
-    with pytest.raises(GeometryError, match="more than 1000 ticks per axis"):
+@pytest.mark.parametrize("dim, L", [(1, 1e9), (2, 1e9), (2, 2.0)])
+def test_vertex_cap_stops_the_ticks_early(dim, L):
+    # billions of core ticks per axis: rejected before any tick array is built
+    disc = Discretization(dim=dim, L=L, h=1e-9, max_vertices=1000)
+    with pytest.raises(GeometryError, match="vertices, above the cap 1000"):
         build_mesh(disc)
 
 
@@ -157,9 +159,8 @@ def test_vertex_cap_stops_the_ticks_early(h, grading):
 # graded tick vector
 # ---------------------------------------------------------------------------
 
-TICK_CASES = [(2.0, 0.2, 1.1), (4.0, 0.03125, 1.1), (8.0, 0.05, 1.1),
-              (512.0, 0.05, 1.1), (5.0, 0.1, 1.3), (3.0, 0.07, 2.0),
-              (4.0, 0.3, 1.05)]
+TICK_CASES = [(2.0, 0.2), (4.0, 0.03125), (8.0, 0.05), (512.0, 0.05),
+              (5.0, 0.1), (3.0, 0.07), (4.0, 0.3), (2.0, 0.5)]
 
 
 def _core(ticks, h):
@@ -169,25 +170,25 @@ def _core(ticks, h):
     return k, ticks[mid - k: mid + k + 1]
 
 
-@pytest.mark.parametrize("L, h, grading", TICK_CASES)
-def test_core_ticks_are_multiples_of_h(L, h, grading):
-    ticks = axis_ticks(L, h, grading, 10**6)
+@pytest.mark.parametrize("L, h", TICK_CASES)
+def test_core_ticks_are_multiples_of_h(L, h):
+    ticks = axis_ticks(L, h, 1, 10**6)
     k, core = _core(ticks, h)
     assert np.array_equal(core, h * np.arange(-k, k + 1))
     assert core[-1] >= 1.25
 
 
-@pytest.mark.parametrize("L, h, grading", TICK_CASES)
-def test_ticks_symmetric_and_end_at_L(L, h, grading):
-    ticks = axis_ticks(L, h, grading, 10**6)
+@pytest.mark.parametrize("L, h", TICK_CASES)
+def test_ticks_symmetric_and_end_at_L(L, h):
+    ticks = axis_ticks(L, h, 1, 10**6)
     assert np.array_equal(ticks, -ticks[::-1])
     assert ticks[-1] == L
     assert (np.diff(ticks) > 0).all()
 
 
-@pytest.mark.parametrize("L, h, grading", TICK_CASES)
-def test_outer_spacings_grow_by_at_most_grading(L, h, grading):
-    ticks = axis_ticks(L, h, grading, 10**6)
+@pytest.mark.parametrize("L, h", TICK_CASES)
+def test_outer_spacings_grow_by_at_most_the_grading(L, h):
+    ticks = axis_ticks(L, h, 1, 10**6)
     k, _ = _core(ticks, h)
     # the outer cells, from the last core cell outward
     widths = np.diff(ticks[len(ticks) // 2 + k - 1:])
@@ -195,17 +196,16 @@ def test_outer_spacings_grow_by_at_most_grading(L, h, grading):
     ratios = widths[1:] / widths[:-1]
     assert (ratios >= 1.0 - 1e-12).all()
     # every cell but the closing one grows by at most the grading
-    assert (ratios[:-1] <= grading * (1.0 + 1e-12)).all()
+    assert (ratios[:-1] <= GRADING * (1.0 + 1e-12)).all()
 
 
-# grading 1, or a core (c = h * ceil(1.25 / h) = 2) that reaches L at any
-# grading: the uniform ticks
-@pytest.mark.parametrize("L, h, grading", [(2.0, 0.3, 1.0), (4.0, 0.03125, 1.0),
-                                           (8.0, 0.05, 1.0), (2.0, 1.0, 1.5)])
-def test_uniform_ticks_reproduce_linspace(L, h, grading):
+# less than one core cell between the core (c = h * ceil(1.25 / h)) and L:
+# the uniform ticks
+@pytest.mark.parametrize("L, h", [(2.0, 1.0), (2.0, 0.7), (2.5, 0.9)])
+def test_small_boxes_keep_the_uniform_ticks(L, h):
     uniform = np.linspace(-L, L, int(np.ceil(2.0 * L / h)) + 1)
-    assert np.array_equal(axis_ticks(L, h, grading, 10**6), uniform)
-    mesh = build_mesh(Discretization(dim=2, L=L, h=h, grading=grading))
+    assert np.array_equal(axis_ticks(L, h, 1, 10**6), uniform)
+    mesh = build_mesh(Discretization(dim=2, L=L, h=h))
     assert np.array_equal(np.unique(mesh.vertices[:, 0]), uniform)
 
 
@@ -307,8 +307,8 @@ def poisson_error(n):
     """Max vertex error for -div(grad u) = f, u = sin(pi x/4) sin(pi y/4),
     on the uniform n x n mesh (the P1 rate is that of a uniform grid)."""
     L = 4.0
-    disc = Discretization(dim=2, L=L, h=2.0 * L / n, grading=1.0)
-    mesh = build_mesh(disc)
+    disc = Discretization(dim=2, L=L, h=2.0 * L / n)
+    mesh = box_mesh(2, np.linspace(-L, L, n + 1), disc.quad_order)
     k = np.pi / 4.0
 
     def exact(pts):
