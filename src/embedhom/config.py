@@ -249,9 +249,6 @@ _SCHEMA = {
         lambda v: v >= 2.0, "L = {v}: the unit ball must be strictly interior "
                             "to the truncated box, which needs L >= 2")),
     "discretization.h": _Key(),
-    "discretization.quad_order": _Key(),
-    "discretization.cg_tol": _Key(),
-    "discretization.cg_max_iter": _Key(check=_POSITIVE),
     "discretization.solver": _Key(),
     "discretization.max_vertices": _Key(check=_POSITIVE),
     "periodic.divisions": _Key(int, 64, _check(lambda v: v >= 2, "must be >= 2"),

@@ -14,7 +14,7 @@ Two equivalent evaluations of the energy per unit ball measure are kept:
 
 They agree exactly at the discrete minimizer; their drift, normalized as
 |J2 - J3| / (1 + |J2|), is a free residual check on every solve. |B| is the
-quadrature measure of the ball indicator, not pi^(d/2)/gamma(...), so
+centroid-rule measure of the ball indicator, not pi^(d/2)/gamma(...), so
 constant-field identities hold exactly at the discrete level.
 """
 
@@ -59,16 +59,16 @@ class CorrectorSolution:
 class EmbeddedProblem:
     """Precomputed discretization of the embedded corrector problem.
 
-    Holding the field-dependent quadrature reductions fixed, the stiffness
+    Holding the field-dependent reductions fixed, the stiffness
     matrix and load are cheap functions of the exterior matrix, which is what
     estimator loops vary: K(A) = K_ball + sum_{a<=b} A_ab K_ab on one CSR
     pattern. Those 1 + d(d+1)/2 parts are built once per problem, at the
     first system() call (not in the constructor, so a problem that never
     assembles pays nothing for them). The last assembled system is cached so
     the handful of solves at one exterior matrix share a factorization, and
-    the last unit-slope solutions are kept for the derivatives at the same
-    matrix (trace_hessian, energy_jacobian). factorization_count and
-    solve_count count the work.
+    the last unit-slope solutions are kept for every later evaluation at the
+    same matrix (energies, flux average and derivatives), which then solves
+    nothing. factorization_count and solve_count count the work.
     """
 
     def __init__(self, field, disc, rel1_threshold=REL1_DEFAULT_THRESHOLD,
@@ -87,8 +87,8 @@ class EmbeddedProblem:
         # field-dependent reductions, computed once
         self.coeff_ball = reduce_coefficient(mesh, field.evaluate,
                                              mask=mesh.in_ball)
-        self.vol_ball = np.einsum("eq->e", mesh.quad_w * mesh.in_ball)
-        self.vol_ext = np.einsum("eq->e", mesh.quad_w * ~mesh.in_ball)
+        self.vol_ball = mesh.volumes * mesh.in_ball
+        self.vol_ext = mesh.volumes * ~mesh.in_ball
         self.ball_measure = float(self.vol_ball.sum())
         self.coeff_ball_total = self.coeff_ball.sum(axis=0)   # int_B A(x) dx
 
@@ -97,14 +97,15 @@ class EmbeddedProblem:
             mesh, np.einsum("eab,elb->ela", self.coeff_ball, mesh.grads))
         self.geom_basis = assemble_vector(
             mesh, self.vol_ball[:, None, None] * mesh.grads)
-        # int_B phi_i dx, on all vertices, for the mean-zero shift
-        mass = np.einsum("eq,ql->el", mesh.quad_w * mesh.in_ball, mesh.phi_q)
+        # int_B phi_i dx, on all vertices, for the mean-zero shift: each
+        # basis function is 1/(d+1) at the centroid
+        mass = np.repeat(self.vol_ball[:, None] / (self.dim + 1),
+                         self.dim + 1, axis=1)
         self.ball_mass = scatter_vector(mesh.elements, mesh.n_vertices, mass)
 
         self._pattern = self._parts = None
         self._system_cache = (None, None)
         self._units = (None, None)
-        self._warm = {}
         self.max_rel1_seen = 0.0
         self.solve_count = 0
         self.factorization_count = 0
@@ -178,11 +179,7 @@ class EmbeddedProblem:
         exterior = np.asarray(exterior, dtype=float)
         if solver is None:
             solver = self.system(exterior)
-        F = self.load(exterior, p)
-        x0 = self._warm.get(p.tobytes()) if solver.method == "cg" else None
-        x, stats = solver.solve(F, x0=x0)
-        if solver.method == "cg":
-            self._warm[p.tobytes()] = x
+        x, stats = solver.solve(self.load(exterior, p))
         w = self.mesh.expand(x)
         sol = self._finish(p, exterior, w, stats)
         self.solve_count += 1
@@ -228,26 +225,25 @@ class EmbeddedProblem:
 
     def _unit_solves(self, exterior):
         """(solution, element gradients of w) for each unit slope e_i, in
-        order, on one system."""
+        order, on one system. The last exterior matrix's are held, so a
+        second call at it solves nothing."""
         exterior = np.asarray(exterior, dtype=float)
-        solver = self.system(exterior)
-        out = []
-        for p in np.eye(self.dim):
-            sol = self.solve(exterior, p, solver=solver)
-            out.append((sol, self.mesh.element_gradients(sol.w)))
-        self._units = (exterior.tobytes(), [sol for sol, _ in out])
-        return out
+        key = exterior.tobytes()
+        if self._units[0] != key:
+            solver = self.system(exterior)
+            out = []
+            for p in np.eye(self.dim):
+                sol = self.solve(exterior, p, solver=solver)
+                out.append((sol, self.mesh.element_gradients(sol.w)))
+            self._units = (key, out)
+        return self._units[1]
 
     def _raw_units(self, exterior):
         """Columns x_i = K^-1 F_i (interior dofs, before the mean shift) of
-        the unit slopes at this exterior matrix: those of the last unit
-        solves if they were at it, else solved anew."""
-        exterior = np.asarray(exterior, dtype=float)
-        if self._units[0] != exterior.tobytes():
-            self._unit_solves(exterior)
+        the unit slopes at this exterior matrix."""
         idx = self.mesh.interior_idx
         return np.stack([sol.w[idx] + sol.ball_mean
-                         for sol in self._units[1]], axis=1)
+                         for sol, _ in self._unit_solves(exterior)], axis=1)
 
     def _exterior_parts(self):
         """K_k, the exterior stiffness of each symmetric_basis direction."""
@@ -257,8 +253,7 @@ class EmbeddedProblem:
 
     def _sensitivity_solve(self, solver, R):
         """K^-1 R, counted in solve_count: one back-substitution with every
-        column on the direct path, one CG solve a column (never warm-started
-        from, nor kept for, the corrector solves) otherwise."""
+        column on the direct path, one CG solve a column otherwise."""
         if solver.method == "direct":
             self.solve_count += 1
             return solver.solve(R)[0]
@@ -363,5 +358,5 @@ class EmbeddedProblem:
         return out
 
     def mean_coefficient(self):
-        """Arithmetic mean of the field over the ball (quadrature measure)."""
+        """Arithmetic mean of the field over the ball (centroid-rule measure)."""
         return self.coeff_ball_total / self.ball_measure

@@ -134,7 +134,6 @@ def _base_metadata(problem):
     if disc is not None:
         meta["discretization"] = {
             "dim": disc.dim, "L": disc.L, "h": disc.h,
-            "quad_order": disc.quad_order, "cg_tol": disc.cg_tol,
             "solver": disc.solver, "dofs": problem.mesh.n_dofs,
         }
     return meta
@@ -500,11 +499,10 @@ def estimate_self_consistent_scalar(field_obj=None, disc=None, options=None,
                                        "bracket_tol": options.bracket_tol}})
 
 
-def estimate_periodic_ref(field_obj, r=1.0, divisions=64, quad_order=1):
+def estimate_periodic_ref(field_obj, r=1.0, divisions=64):
     """Periodic-cell reference matrix for x -> field(r x), as a report."""
     start = _begin()
-    matrix = periodic_effective(field_obj, R=r, divisions=divisions,
-                                quad_order=quad_order)
+    matrix = periodic_effective(field_obj, R=r, divisions=divisions)
     return _report("periodic_ref", start, matrix, field_obj.bounds,
                    meta={"backend": "periodic_cell",
                          "divisions": int(divisions), "R": float(r)})

@@ -8,8 +8,10 @@ core [-c, c], c = h * ceil(1.25 / h), that holds the ball, then cells that
 grow by a fixed ratio out to L, where the exterior is constant and the
 corrector decays like a dipole (see axis_ticks). 2D cells are split into
 two triangles with alternating diagonals to avoid directional mesh bias.
-Coefficients are sampled per quadrature point (edge-midpoint rule by default),
-which resolves the ball indicator to O(h) without any interface fitting.
+Coefficients are sampled once per element, at its centroid: the point lies
+off every element edge, so microstructures whose interfaces fall on mesh
+lines are sampled without bias, and the ball indicator is resolved to O(h)
+without any interface fitting.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +24,9 @@ from .errors import ConvergenceError, GeometryError, InvalidCoefficientError
 
 # "auto" solver policy: sparse LU below this many unknowns, CG above.
 DIRECT_DOF_CAP = 300_000
+
+# relative residual at which CG stops
+CG_TOL = 1e-10
 
 # half-width of the uniform core around the unit ball, before it is rounded
 # up to a whole number of core cells
@@ -38,9 +43,6 @@ class Discretization:
     dim: int
     L: float = 5.0
     h: float = 0.05             # core spacing
-    quad_order: int = 2
-    cg_tol: float = 1e-10
-    cg_max_iter: int | None = None
     solver: str = "auto"  # auto | cg | direct
     max_vertices: int = 4_000_000
 
@@ -53,13 +55,6 @@ class Discretization:
             )
         if not 0.0 < self.h <= self.L:
             raise GeometryError(f"mesh spacing h={self.h} must be in (0, L]")
-        if self.quad_order < 1 or (self.dim == 2 and self.quad_order > 2):
-            raise GeometryError(
-                f"quad_order={self.quad_order} unsupported "
-                f"(2D rules: 1=centroid, 2=edge midpoints)"
-            )
-        if not 0.0 < self.cg_tol < 1.0:
-            raise GeometryError(f"cg_tol must be in (0, 1), got {self.cg_tol}")
         if self.solver not in ("auto", "cg", "direct"):
             raise GeometryError(f"unknown solver {self.solver!r}")
 
@@ -69,8 +64,8 @@ class Mesh:
     """Structured simplicial mesh with precomputed P1 data.
 
     grads[e, i] is the (constant) gradient of local basis function i on
-    element e; quad_w already includes the element measure, so plain sums
-    against quad_w integrate over the box.
+    element e. Coefficients are sampled at the centroids, so sums against
+    volumes (masked by in_ball for the unit ball) are the one-point rule.
     """
 
     dim: int
@@ -79,16 +74,15 @@ class Mesh:
     boundary: np.ndarray        # (nv,) bool
     grads: np.ndarray           # (ne, dim+1, dim)
     volumes: np.ndarray         # (ne,)
-    quad_x: np.ndarray          # (ne, nq, dim)
-    quad_w: np.ndarray          # (ne, nq)
-    phi_q: np.ndarray           # (nq, dim+1) basis values at quad points
-    in_ball: np.ndarray = field(init=False)   # (ne, nq) |x_q| <= 1
+    centroids: np.ndarray = field(init=False)  # (ne, dim)
+    in_ball: np.ndarray = field(init=False)    # (ne,) |centroid| <= 1
     interior_idx: np.ndarray = field(init=False)
     interior_pos: np.ndarray = field(init=False)  # vertex -> interior dof or -1
 
     def __post_init__(self):
-        r2 = np.einsum("eqd,eqd->eq", self.quad_x, self.quad_x)
-        self.in_ball = r2 <= 1.0
+        self.centroids = self.vertices[self.elements].mean(axis=1)
+        self.in_ball = np.einsum("ed,ed->e", self.centroids,
+                                 self.centroids) <= 1.0
         self.interior_idx = np.flatnonzero(~self.boundary)
         self.interior_pos = np.full(len(self.vertices), -1, dtype=np.int64)
         self.interior_pos[self.interior_idx] = np.arange(len(self.interior_idx))
@@ -118,15 +112,6 @@ class Mesh:
     def element_gradients(self, w):
         """Constant per-element gradient of the P1 function w (vertex values)."""
         return np.einsum("eld,el->ed", self.grads, w[self.elements])
-
-
-def _gauss_rule_1d(order):
-    npts = (order + 2) // 2
-    if npts > 5:
-        raise GeometryError(f"1D quadrature capped at 5 Gauss points (order {order})")
-    x, w = np.polynomial.legendre.leggauss(npts)
-    # map from [-1, 1] to the unit reference interval [0, 1]
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def axis_ticks(L, h, dim, max_vertices):
@@ -177,10 +162,10 @@ def build_mesh(disc):
     built; the total mesh measure is exactly (2L)^d.
     """
     ticks = axis_ticks(disc.L, disc.h, disc.dim, disc.max_vertices)
-    return box_mesh(disc.dim, ticks, disc.quad_order)
+    return box_mesh(disc.dim, ticks)
 
 
-def box_mesh(dim, ticks, quad_order):
+def box_mesh(dim, ticks):
     """Simplicial mesh of the tensor grid ticks^dim (increasing ticks)."""
     n = len(ticks) - 1
     if dim == 1:
@@ -190,13 +175,7 @@ def box_mesh(dim, ticks, quad_order):
         boundary[[0, -1]] = True
         le = np.diff(ticks).reshape(-1, 1, 1)        # (ne, 1, 1)
         grads = np.concatenate([-1.0 / le, 1.0 / le], axis=1)
-        volumes = le[:, 0, 0]
-        xi, wref = _gauss_rule_1d(quad_order)
-        quad_x = (ticks[:-1, None] + np.outer(volumes, xi))[:, :, None]
-        quad_w = np.outer(volumes, wref)
-        phi_q = np.stack([1.0 - xi, xi], axis=1)
-        return Mesh(1, vertices, elements, boundary,
-                    grads, volumes, quad_x, quad_w, phi_q)
+        return Mesh(1, vertices, elements, boundary, grads, le[:, 0, 0])
 
     xx, yy = np.meshgrid(ticks, ticks, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
@@ -232,19 +211,7 @@ def box_mesh(dim, ticks, quad_order):
     binv[:, 1, 1] = e1[:, 0] / det
     dref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # (nloc, refdim)
     grads = np.einsum("la,ead->eld", dref, binv)
-
-    if quad_order == 1:
-        ref = np.array([[1 / 3, 1 / 3]])
-        wref = np.array([1.0])
-    else:
-        ref = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
-        wref = np.full(3, 1.0 / 3.0)
-    quad_x = p0[:, None, :] + np.einsum("qa,eda->eqd", ref,
-                                        np.stack([e1, e2], axis=2))
-    quad_w = np.outer(volumes, wref)
-    phi_q = np.stack([1.0 - ref.sum(axis=1), ref[:, 0], ref[:, 1]], axis=1)
-    return Mesh(2, vertices, elements, boundary,
-                grads, volumes, quad_x, quad_w, phi_q)
+    return Mesh(2, vertices, elements, boundary, grads, volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -265,28 +232,26 @@ def _validate_spd_pointwise(values, where):
         ok = (tr > 0) & (det > 0)
     if not ok.all():
         raise InvalidCoefficientError(
-            f"{where}: coefficient not SPD at {int((~ok).sum())} quadrature points"
+            f"{where}: coefficient not SPD at {int((~ok).sum())} points"
         )
 
 
 def reduce_coefficient(mesh, coeff_fn, mask=None, validate=False, chunk=131072):
-    """Per-element weighted coefficient integral sum_q w_q [mask] A(x_q).
+    """Per-element coefficient integral volume [mask] A(centroid).
 
-    coeff_fn maps (n, dim) points to (n, dim, dim) matrices; mask (ne, nq)
-    restricts the quadrature (e.g. to the unit ball). Evaluation is chunked
+    coeff_fn maps (n, dim) points to (n, dim, dim) matrices; mask (ne,)
+    restricts the integral (e.g. to the unit ball). Evaluation is chunked
     over elements to bound peak memory.
     """
-    ne, nq, d = mesh.quad_x.shape
-    weights = mesh.quad_w if mask is None else mesh.quad_w * mask
+    ne, d = mesh.centroids.shape
+    weights = mesh.volumes if mask is None else mesh.volumes * mask
     out = np.empty((ne, d, d))
     for lo in range(0, ne, chunk):
         hi = min(lo + chunk, ne)
-        pts = mesh.quad_x[lo:hi].reshape(-1, d)
-        vals = coeff_fn(pts)
+        vals = coeff_fn(mesh.centroids[lo:hi])
         if validate:
             _validate_spd_pointwise(vals, "reduce_coefficient")
-        vals = vals.reshape(hi - lo, nq, d, d)
-        out[lo:hi] = np.einsum("eq,eqab->eab", weights[lo:hi], vals)
+        out[lo:hi] = weights[lo:hi, None, None] * vals
     return out
 
 
@@ -394,7 +359,7 @@ class SolveStats:
     residual: float
 
 
-def solve_cg(K, F, tol=1e-10, max_iter=None, x0=None):
+def solve_cg(K, F, tol=CG_TOL, max_iter=None):
     """Jacobi-preconditioned conjugate gradients to relative residual <= tol.
 
     Returns (x, SolveStats); raises ConvergenceError (with the final residual
@@ -416,7 +381,7 @@ def solve_cg(K, F, tol=1e-10, max_iter=None, x0=None):
     def _tick(_):
         count[0] += 1
 
-    x, _ = spla.cg(K, F, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter,
+    x, _ = spla.cg(K, F, rtol=tol, atol=0.0, maxiter=max_iter,
                    M=M, callback=_tick)
     residual = float(np.linalg.norm(F - K @ x) / norm_f)
     if residual > tol:
@@ -449,7 +414,6 @@ class LinearSolver:
 
     def __init__(self, K, disc):
         self.K = K
-        self.disc = disc
         n = K.shape[0]
         if disc.solver == "direct" or (disc.solver == "auto" and n <= DIRECT_DOF_CAP):
             self.method = "direct"
@@ -458,7 +422,7 @@ class LinearSolver:
             self.method = "cg"
             self._lu = None
 
-    def solve(self, F, x0=None):
+    def solve(self, F):
         norm_f = np.linalg.norm(F)
         if norm_f == 0.0:
             return np.zeros(np.shape(F)), SolveStats(self.method, 0, 0.0)
@@ -466,5 +430,4 @@ class LinearSolver:
             x = self._lu.solve(F)
             residual = float(np.linalg.norm(F - self.K @ x) / norm_f)
             return x, SolveStats("direct", 1, residual)
-        return solve_cg(self.K, F, tol=self.disc.cg_tol,
-                        max_iter=self.disc.cg_max_iter, x0=x0)
+        return solve_cg(self.K, F)

@@ -160,24 +160,25 @@ class Harmonic1DModel:
 # ---------------------------------------------------------------------------
 
 
-def periodic_effective(field, R=1.0, divisions=64, quad_order=1):
+def periodic_effective(field, R=1.0, divisions=64):
     """Homogenized matrix of x -> field(R x) from the periodic cell problem.
 
     Solves, for each unit slope, the corrector on Q = (-1/2, 1/2)^d with
     periodic boundary conditions (P1 elements, one pinned vertex), and
-    returns the averaged corrected flux by columns. The default centroid
-    rule keeps quadrature points off the element edges, so microstructures
-    whose interfaces lie on mesh lines (laminates, checkerboards with
-    divisions a multiple of R) are reduced exactly; aligned laminates then
-    reproduce the harmonic/arithmetic diagonal to solver precision. This is
-    the reference the embedded estimators are compared against at matching R.
+    returns the averaged corrected flux by columns. The coefficient is
+    sampled at element centroids, which lie off the element edges, so
+    microstructures whose interfaces lie on mesh lines (laminates,
+    checkerboards with divisions a multiple of R) are reduced exactly; aligned
+    laminates then reproduce the harmonic/arithmetic diagonal to solver
+    precision. This is the reference the embedded estimators are compared
+    against at matching R.
     """
     if field.dim not in (1, 2):
         raise GeometryError("periodic reference supports dim 1 or 2")
     n = int(divisions)
     if n < 2:
         raise GeometryError(f"divisions must be >= 2, got {divisions}")
-    mesh = box_mesh(field.dim, np.linspace(-0.5, 0.5, n + 1), quad_order)
+    mesh = box_mesh(field.dim, np.linspace(-0.5, 0.5, n + 1))
     coeff = rescale(field, R) if R != 1.0 else field
     reduced = reduce_coefficient(mesh, coeff.evaluate)
 

@@ -68,9 +68,6 @@ HOMOGENEOUS_RESOLVED = """\
   "discretization": {
     "L": 2,
     "h": 0.25,
-    "quad_order": 2,
-    "cg_tol": 1e-10,
-    "cg_max_iter": null,
     "solver": "auto",
     "max_vertices": 4000000
   },
@@ -112,7 +109,7 @@ def test_validate_prints_resolved_tree(tmp_path, capsys):
     assert '"h": 0.25' in out
     assert '"grad_tol": 9.9999999999999995e-07' in out   # full 17-digit floats
     assert f"ok: {path} (hash " in out
-    assert out == HOMOGENEOUS_RESOLVED + f"ok: {path} (hash 5ff08e9dbe4a71d4)\n"
+    assert out == HOMOGENEOUS_RESOLVED + f"ok: {path} (hash 6b1e696b822c8cd1)\n"
 
 
 def test_validate_rejects_small_box(tmp_path, capsys):

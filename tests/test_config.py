@@ -32,7 +32,7 @@ def test_minimal_config_defaults():
                            "self_consistent_scalar", "periodic_ref"]
     assert cfg.rescale == 1.0
     assert cfg.naive_exterior is None
-    assert (cfg.disc.L, cfg.disc.h, cfg.disc.quad_order) == (5.0, 0.05, 2)
+    assert (cfg.disc.L, cfg.disc.h) == (5.0, 0.05)
     assert cfg.disc.solver == "auto"
     assert cfg.periodic_divisions == 64
     assert cfg.sweep is None
@@ -53,9 +53,9 @@ def test_resolved_tree_and_hash_stability():
     assert a.resolved()["sweep"] is None
     # the schema's output for fixed inputs, pinned: a key added, dropped or
     # renamed, or a default changed, changes these hashes
-    assert a.config_hash() == "d94f69032d801f76"
-    assert parse(RCONV_POINT).config_hash() == "dcb1df93b8b109ae"
-    assert parse(FIXED_POINTS).config_hash() == "048ab03fa60e0e5f"
+    assert a.config_hash() == "cd8a1e80cbac2918"
+    assert parse(RCONV_POINT).config_hash() == "f6cd2ea90bdf350b"
+    assert parse(FIXED_POINTS).config_hash() == "0ed4749e6d23d847"
 
 
 # the benchmark's two CLI configs (perfbench/workloads.py) at their default
@@ -132,7 +132,6 @@ def test_small_box_rejected_with_line():
                          ("optimizer", "max_iters"), ("fixed_point", "tol"),
                          ("fixed_point", "max_iters"), ("bisect", "tol"),
                          ("bisect", "bracket_tol"), ("bisect", "max_iters"),
-                         ("discretization", "cg_max_iter"),
                          ("discretization", "max_vertices")]:
         with pytest.raises(ConfigError) as exc:
             parse(MINIMAL + f"{section}:\n  {key}: 0\n")

@@ -28,6 +28,7 @@ from embedhom.fields import (
     make_constant,
     make_laminate,
     make_one_dim_piecewise,
+    rescale,
 )
 from embedhom.matrices import EllipticityBounds
 from embedhom.reference import Harmonic1DModel
@@ -246,10 +247,12 @@ def test_anchor_reuse_skips_ascent():
     prob = checkerboard_problem(seed=3)
     opts = OptimizerOptions(grad_tol=1e-4)
     anchor = estimate_energy_min(problem=prob, options=opts)
-    before = prob.solve_count
+    before = prob.solve_count, prob.factorization_count
     reused = estimate_averaged(problem=prob, anchor=anchor)
-    # one energy-matrix evaluation: d = 2 unit-slope solves, no ascent
-    assert prob.solve_count - before == 2
+    # one energy-matrix evaluation at the ascent's last matrix: no ascent,
+    # no factorization, and at most the d = 2 unit-slope solves
+    assert prob.factorization_count == before[1]
+    assert prob.solve_count - before[0] <= 2
     direct = estimate_averaged(problem=prob, options=opts)
     assert np.array_equal(reused.matrix, direct.matrix)
     assert reused.metadata["anchor_objective"] == anchor.objective
@@ -354,3 +357,20 @@ def test_periodic_ref_report():
     assert rep.metadata == {"backend": "periodic_cell", "divisions": 8, "R": 1.0}
     # aligned laminate: harmonic mean across, arithmetic along
     assert np.allclose(rep.matrix, np.diag([1.6, 2.5]), atol=1e-10)
+
+
+def test_aligned_laminate_unbiased_under_mesh_refinement():
+    # a laminate {1, 4} at R = 2 has its interfaces on mesh lines; sampling
+    # the coefficient on element edges would hand those points to one phase
+    # and bias the estimate by O(h). Centroid sampling leaves an error that
+    # does not depend on h (finite R and L), against A* = diag(1.6, 2.5).
+    field = rescale(make_laminate(1.0, 4.0, axis=0, period=1.0,
+                                  bounds=BOUNDS), 2.0)
+    errors = []
+    for h in (1.0 / 16.0, 1.0 / 32.0):
+        rep = estimate_self_consistent(field, Discretization(dim=2, L=8.0,
+                                                             h=h))
+        assert rep.converged
+        errors.append(np.linalg.norm(rep.matrix - np.diag([1.6, 2.5])))
+    assert max(errors) <= 0.07
+    assert abs(errors[0] - errors[1]) <= 0.005

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from embedhom.corrector import EmbeddedProblem
 from embedhom.errors import ConvergenceError, GeometryError, InvalidCoefficientError
 from embedhom.fem import (
+    CG_TOL,
     DIRECT_DOF_CAP,
     GRADING,
     Discretization,
@@ -27,8 +28,8 @@ from embedhom.matrices import EllipticityBounds
 BOUNDS = EllipticityBounds(0.5, 8.0)
 
 
-def mesh_2d(L=2.0, h=0.5, quad_order=2):
-    return build_mesh(Discretization(dim=2, L=L, h=h, quad_order=quad_order))
+def mesh_2d(L=2.0, h=0.5):
+    return build_mesh(Discretization(dim=2, L=L, h=h))
 
 
 def divisions(mesh):
@@ -75,22 +76,14 @@ def test_triangles_positive_and_cover_box():
     mesh = mesh_2d(h=0.25)
     assert (mesh.volumes > 0).all()
     assert np.isclose(mesh.volumes.sum(), 16.0, rtol=0, atol=1e-12)
-    # quadrature weights integrate constants exactly
-    assert np.isclose(mesh.quad_w.sum(), 16.0, rtol=0, atol=1e-12)
-
-
-def test_measure_exact_both_quadratures():
-    for order in (1, 2):
-        mesh = mesh_2d(h=0.4, quad_order=order)
-        assert np.isclose(mesh.quad_w.sum(), 16.0, atol=1e-12)
 
 
 def test_ball_area_near_pi():
     mesh = mesh_2d(L=2.0, h=0.02)
-    area = (mesh.quad_w * mesh.in_ball).sum()
+    area = (mesh.volumes * mesh.in_ball).sum()
     assert abs(area - np.pi) < 4 * 0.02
     # complement is exact by construction
-    ext = (mesh.quad_w * ~mesh.in_ball).sum()
+    ext = (mesh.volumes * ~mesh.in_ball).sum()
     assert np.isclose(area + ext, 16.0, atol=1e-12)
 
 
@@ -123,13 +116,7 @@ def test_discretization_validation():
     with pytest.raises(GeometryError):
         Discretization(dim=2, L=4.0, h=0.0)
     with pytest.raises(GeometryError):
-        Discretization(dim=2, L=4.0, h=0.1, quad_order=3)
-    with pytest.raises(GeometryError):
-        Discretization(dim=2, L=4.0, h=0.1, cg_tol=0.0)
-    with pytest.raises(GeometryError):
         Discretization(dim=2, L=4.0, h=0.1, solver="gauss")
-    # higher 1D quadrature orders are regular Gauss rules and allowed
-    build_mesh(Discretization(dim=1, L=2.0, h=0.5, quad_order=4))
 
 
 def test_vertex_cap():
@@ -308,7 +295,7 @@ def poisson_error(n):
     on the uniform n x n mesh (the P1 rate is that of a uniform grid)."""
     L = 4.0
     disc = Discretization(dim=2, L=L, h=2.0 * L / n)
-    mesh = box_mesh(2, np.linspace(-L, L, n + 1), disc.quad_order)
+    mesh = box_mesh(2, np.linspace(-L, L, n + 1))
     k = np.pi / 4.0
 
     def exact(pts):
@@ -316,8 +303,9 @@ def poisson_error(n):
 
     field = make_constant(1.0, BOUNDS, dim=2)
     K = assemble_stiffness(mesh, reduce_coefficient(mesh, field.evaluate))
-    f_q = 2.0 * k * k * exact(mesh.quad_x.reshape(-1, 2)).reshape(mesh.quad_w.shape)
-    cell_loads = np.einsum("eq,ql->el", mesh.quad_w * f_q, mesh.phi_q)
+    # centroid rule: each of the three basis functions is 1/3 there
+    f_c = 2.0 * k * k * exact(mesh.centroids)
+    cell_loads = np.repeat((mesh.volumes * f_c / 3.0)[:, None], 3, axis=1)
     F = assemble_vector(mesh, cell_loads)
     u, _ = LinearSolver(K, disc).solve(F)
     return np.abs(mesh.expand(u) - exact(mesh.vertices)).max()
@@ -367,7 +355,7 @@ def test_solver_policy_respects_override():
     assert forced.method == "cg"
     x, stats = forced.solve(F)
     assert stats.method == "cg"
-    assert np.linalg.norm(F - K @ x) <= disc.cg_tol * np.linalg.norm(F)
+    assert np.linalg.norm(F - K @ x) <= CG_TOL * np.linalg.norm(F)
     assert K.shape[0] < DIRECT_DOF_CAP  # sanity: auto picked direct above
 
 
@@ -390,11 +378,3 @@ def test_cg_rejects_nonpositive_diagonal():
     K = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(InvalidCoefficientError):
         solve_cg(K, np.array([1.0, 1.0]))
-
-
-def test_warm_start_accepted():
-    disc, K, F = small_system()
-    x_cold, cold = solve_cg(K, F, tol=1e-10)
-    x_warm, warm = solve_cg(K, F, tol=1e-10, x0=x_cold)
-    assert warm.iterations <= cold.iterations
-    assert np.allclose(x_warm, x_cold, atol=1e-8)
