@@ -414,6 +414,9 @@ def _check_points(chk, cfg):
             path = ("sweep", "values", i)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 chk.fail(path, f"not a number: {v!r}")
+            if v in sweep.values[:i]:
+                # equal points would write one report file over another
+                chk.fail(path, f"repeats the value {v!r} of an earlier point")
             if sweep.parameter == "seed" and not isinstance(v, int):
                 chk.fail(path, "seed values must be integers")
             if sweep.parameter == "R" and v <= 0:

@@ -51,7 +51,6 @@ class CorrectorSolution:
     energy: float
     energy_alt: float
     residual_rel1: float
-    stats: object
     ball_mean: float = 0.0      # ball average of the raw Dirichlet solution
     flags: tuple = ()
 
@@ -64,15 +63,15 @@ class EmbeddedProblem:
     estimator loops vary: K(A) = K_ball + sum_{a<=b} A_ab K_ab on one CSR
     pattern. Those 1 + d(d+1)/2 parts are built once per problem, at the
     first system() call (not in the constructor, so a problem that never
-    assembles pays nothing for them). The last assembled system is cached so
-    the handful of solves at one exterior matrix share a factorization, and
-    the last unit-slope solutions are kept for every later evaluation at the
-    same matrix (energies, flux average and derivatives), which then solves
-    nothing. factorization_count and solve_count count the work.
+    assembles pays nothing for them). One exterior matrix's state is held:
+    its system, so the solves there share a factorization, and, once asked
+    for, its d unit-slope correctors, solved as one load block and kept for
+    every later evaluation at that matrix (energies, flux average and
+    derivatives), which then solves nothing. factorization_count and
+    solve_count (one per LinearSolver.solve call) count the work.
     """
 
-    def __init__(self, field, disc, rel1_threshold=REL1_DEFAULT_THRESHOLD,
-                 mesh=None):
+    def __init__(self, field, disc, rel1_threshold=REL1_DEFAULT_THRESHOLD):
         if field.dim != disc.dim:
             raise InvalidCoefficientError(
                 f"field dim {field.dim} != discretization dim {disc.dim}"
@@ -81,8 +80,7 @@ class EmbeddedProblem:
         self.disc = disc
         self.bounds = field.bounds
         self.rel1_threshold = rel1_threshold
-        self.mesh = build_mesh(disc) if mesh is None else mesh
-        mesh = self.mesh
+        self.mesh = mesh = build_mesh(disc)
 
         # field-dependent reductions, computed once
         self.coeff_ball = reduce_coefficient(mesh, field.evaluate,
@@ -103,9 +101,8 @@ class EmbeddedProblem:
                          self.dim + 1, axis=1)
         self.ball_mass = scatter_vector(mesh.elements, mesh.n_vertices, mass)
 
-        self._pattern = self._parts = None
-        self._system_cache = (None, None)
-        self._units = (None, None)
+        self._parts = None
+        self._held = (None, None, None)     # (key, solver, units or None)
         self.max_rel1_seen = 0.0
         self.solve_count = 0
         self.factorization_count = 0
@@ -113,51 +110,53 @@ class EmbeddedProblem:
     # -- system pieces -----------------------------------------------------
 
     def _stiffness_parts(self):
-        """The interior CSR pattern (indices, indptr), and the CSR data of
-        K_ball and of K_ab for each a <= b on it.
+        """K_ball, then K_ab for each a <= b, as CSR matrices on one pattern.
 
         K_ab is the exterior stiffness for the symmetric unit direction
-        e_a e_b^T + e_b e_a^T (e_a e_a^T on the diagonal); its element
-        matrices vol_ext g_a (x) g_b are formed in closed form and are
-        bitwise symmetric, so every combination of the parts is too. The
-        scatter plan's per-entry slots are dropped once the parts are built.
+        e_a e_b^T + e_b e_a^T (e_a e_a^T on the diagonal), which is the
+        symmetric_basis direction of the same index. Its element matrices
+        vol_ext g_a (x) g_b are formed in closed form and are bitwise
+        symmetric, so every combination of the parts is too. The scatter
+        plan's per-entry slots are dropped once the parts are built.
         """
         mesh = self.mesh
         plan = mesh.interior_plan()
-        parts = [plan.matrix_data(element_stiffness(mesh, self.coeff_ball))]
+        parts = [plan.matrix(plan.matrix_data(
+            element_stiffness(mesh, self.coeff_ball)))]
         g = mesh.grads
         for a, b in zip(*np.triu_indices(self.dim)):
             ke = self.vol_ext[:, None, None] * (g[:, :, a, None]
                                                 * g[:, None, :, b])
             if a != b:
                 ke = ke + ke.swapaxes(1, 2)
-            parts.append(plan.matrix_data(ke))
-        return (plan.indices, plan.indptr), parts
+            parts.append(plan.matrix(plan.matrix_data(ke)))
+        return parts
 
     def system(self, exterior):
         """LinearSolver for the composite coefficient with this exterior matrix.
 
         The stiffness is K_ball + sum_{a<=b} A_ab K_ab: d(d+1)/2 axpys on the
         parts' data arrays, which are built once per problem, at the first
-        call, and never rebuilt.
+        call, and never rebuilt. A new exterior matrix drops the state held
+        for the last one.
         """
         exterior = check_admissible(np.asarray(exterior, dtype=float),
                                     self.bounds, what="exterior matrix")
         key = exterior.tobytes()
-        if self._system_cache[0] == key:
-            return self._system_cache[1]
+        if self._held[0] == key:
+            return self._held[1]
         # release the factorization held before building the next one
-        self._system_cache = (None, None)
+        self._held = (None, None, None)
         if self._parts is None:
-            self._pattern, self._parts = self._stiffness_parts()
+            self._parts = self._stiffness_parts()
         sym = 0.5 * (exterior + exterior.T)
-        data = self._parts[0].copy()
+        ball = self._parts[0]
+        data = ball.data.copy()
         for part, coef in zip(self._parts[1:], sym[np.triu_indices(self.dim)]):
-            data += coef * part
-        n = self.mesh.n_dofs
-        K = sp.csr_matrix((data, *self._pattern), shape=(n, n))
+            data += coef * part.data
+        K = sp.csr_matrix((data, ball.indices, ball.indptr), shape=ball.shape)
         solver = LinearSolver(K, self.disc)
-        self._system_cache = (key, solver)
+        self._held = (key, solver, None)
         self.factorization_count += 1
         return solver
 
@@ -168,23 +167,23 @@ class EmbeddedProblem:
         of the exterior flux A_ext p . n over the ball boundary equals
         int_B A_ext p . grad(v) by the divergence theorem (A_ext constant),
         so only the coefficient contrast inside the ball loads the system.
+        A (d, k) block of slopes gives the (n, k) block of their loads.
         """
         return -self.flux_basis @ p + self.geom_basis @ (exterior @ p)
 
     # -- solving and energies ----------------------------------------------
 
-    def solve(self, exterior, p, solver=None):
+    def _solve(self, solver, F):
+        """solver's solution of a load vector or block: one counted solve."""
+        self.solve_count += 1
+        return solver.solve(F)[0]
+
+    def solve(self, exterior, p):
         """Solve one corrector problem; returns a CorrectorSolution."""
         p = np.asarray(p, dtype=float)
         exterior = np.asarray(exterior, dtype=float)
-        if solver is None:
-            solver = self.system(exterior)
-        x, stats = solver.solve(self.load(exterior, p))
-        w = self.mesh.expand(x)
-        sol = self._finish(p, exterior, w, stats)
-        self.solve_count += 1
-        self.max_rel1_seen = max(self.max_rel1_seen, sol.residual_rel1)
-        return sol
+        x = self._solve(self.system(exterior), self.load(exterior, p))
+        return self._finish(p, exterior, self.mesh.expand(x))
 
     def energies(self, exterior, p, w):
         """(energy, energy_alt, rel1) of any vertex vector w.
@@ -207,8 +206,11 @@ class EmbeddedProblem:
         rel1 = abs(j2 - j3) / (1.0 + abs(j2))
         return float(j2), float(j3), float(rel1)
 
-    def _finish(self, p, exterior, w, stats):
+    def _finish(self, p, exterior, w):
+        """CorrectorSolution of the raw solution w (vertex values), with its
+        energy-identity check recorded in max_rel1_seen."""
         j2, j3, rel1 = self.energies(exterior, p, w)
+        self.max_rel1_seen = max(self.max_rel1_seen, rel1)
         flags = ()
         if rel1 > self.rel1_threshold:
             flags = ("energy_identity",)
@@ -217,51 +219,31 @@ class EmbeddedProblem:
         ball_mean = float(self.ball_mass @ w) / self.ball_measure
         return CorrectorSolution(p=p, exterior=exterior, w=w - ball_mean,
                                  energy=j2, energy_alt=j3, residual_rel1=rel1,
-                                 stats=stats, ball_mean=ball_mean, flags=flags)
+                                 ball_mean=ball_mean, flags=flags)
 
     @property
     def dim(self):
         return self.disc.dim
 
     def _unit_solves(self, exterior):
-        """(solution, element gradients of w) for each unit slope e_i, in
-        order, on one system. The last exterior matrix's are held, so a
-        second call at it solves nothing."""
+        """(X, sols, grad_W) of the unit slopes e_j at this exterior matrix:
+        the raw interior solutions X (n, d), one CorrectorSolution a slope,
+        and grad_W (ne, d, d) with grad_W[:, :, j] the element gradients of
+        w_j. One solve of the (n, d) load block; held with the system, so a
+        second call at the same matrix solves nothing."""
         exterior = np.asarray(exterior, dtype=float)
-        key = exterior.tobytes()
-        if self._units[0] != key:
-            solver = self.system(exterior)
-            out = []
-            for p in np.eye(self.dim):
-                sol = self.solve(exterior, p, solver=solver)
-                out.append((sol, self.mesh.element_gradients(sol.w)))
-            self._units = (key, out)
-        return self._units[1]
-
-    def _raw_units(self, exterior):
-        """Columns x_i = K^-1 F_i (interior dofs, before the mean shift) of
-        the unit slopes at this exterior matrix."""
-        idx = self.mesh.interior_idx
-        return np.stack([sol.w[idx] + sol.ball_mean
-                         for sol, _ in self._unit_solves(exterior)], axis=1)
-
-    def _exterior_parts(self):
-        """K_k, the exterior stiffness of each symmetric_basis direction."""
-        n = self.mesh.n_dofs
-        return [sp.csr_matrix((part, *self._pattern), shape=(n, n))
-                for part in self._parts[1:]]
-
-    def _sensitivity_solve(self, solver, R):
-        """K^-1 R, counted in solve_count: one back-substitution with every
-        column on the direct path, one CG solve a column otherwise."""
-        if solver.method == "direct":
-            self.solve_count += 1
-            return solver.solve(R)[0]
-        out = []
-        for r in R.T:
-            out.append(solver.solve(r)[0])
-            self.solve_count += 1
-        return np.stack(out, axis=1)
+        solver = self.system(exterior)
+        key, _, units = self._held
+        if units is None:
+            eye = np.eye(self.dim)
+            X = self._solve(solver, self.load(exterior, eye))
+            sols = [self._finish(p, exterior, self.mesh.expand(x))
+                    for p, x in zip(eye, X.T)]
+            grad_W = np.stack([self.mesh.element_gradients(sol.w)
+                               for sol in sols], axis=-1)
+            units = (X, sols, grad_W)
+            self._held = (key, solver, units)
+        return units
 
     def trace_hessian(self, exterior):
         """Hessian of Tr G in the coordinates theta of A = sum theta_k U_k
@@ -270,21 +252,17 @@ class EmbeddedProblem:
         K(A) x_i = F_i(A) moves by K_k x_i + K dx_i = dF_i/dtheta_k, so the
         corrector of slope e_i moves by K^-1 r_ki with r_ki = dF_i/dtheta_k
         - K_k x_i, and differentiating the envelope gradient once more gives
-        H_kl = -(2/|B|) sum_i r_ki . K^-1 r_li. That is one back-substitution
-        with m right-hand sides per unit slope on the factorization held at
-        A; the unit solves themselves are reused from the last evaluation
-        at A.
+        H_kl = -(2/|B|) sum_i r_ki . K^-1 r_li. All d*m residual columns
+        make one load block, solved once on the system held at A; the unit
+        solves themselves are reused from the last evaluation at A.
         """
-        exterior = np.asarray(exterior, dtype=float)
-        X = self._raw_units(exterior)
-        solver = self.system(exterior)
-        basis = symmetric_basis(self.dim)
-        parts = self._exterior_parts()
-        H = np.zeros((len(basis), len(basis)))
-        for i in range(self.dim):
-            R = np.stack([self.geom_basis @ U[:, i] - K @ X[:, i]
-                          for U, K in zip(basis, parts)], axis=1)
-            H -= R.T @ self._sensitivity_solve(solver, R)
+        X, _, _ = self._unit_solves(exterior)
+        R = np.stack([self.geom_basis @ U - K @ X for U, K in
+                      zip(symmetric_basis(self.dim), self._parts[1:])],
+                     axis=2)                # [n, i, k] = r_ki
+        S = self._solve(self.system(exterior),
+                        R.reshape(len(R), -1)).reshape(R.shape)
+        H = -np.einsum("nik,nil->kl", R, S)
         return (H + H.T) / self.ball_measure
 
     def energy_jacobian(self, exterior):
@@ -294,33 +272,30 @@ class EmbeddedProblem:
         theorem), so dG_ij/dtheta_k = (x_i . K_k x_j - dF_i/dtheta_k . x_j
         - dF_j/dtheta_k . x_i) / |B|, with dF_i/dtheta_k = geom_basis U_k e_i.
         """
-        X = self._raw_units(exterior)
+        X, _, _ = self._unit_solves(exterior)
         GX = self.geom_basis.T @ X          # [a, j] = sum_n geom_na x_jn
         out = []
-        for U, K in zip(symmetric_basis(self.dim), self._exterior_parts()):
+        for U, K in zip(symmetric_basis(self.dim), self._parts[1:]):
             M = U @ GX                      # [i, j] = dF_i/dtheta_k . x_j
             out.append(X.T @ (K @ X) - M - M.T)
         return np.array(out) / self.ball_measure
 
     def energy_matrix(self, exterior):
-        """Symmetric matrix G with p.G(A)p = corrector energy at slope p.
+        """Symmetric matrix G with p.G(A)p = corrector energy at slope p,
+        and the unit-slope CorrectorSolutions.
 
         The corrector of slope p is sum_j p_j w_j, and the energy is bilinear
         in (slope, corrector), so p.G q = p.B q with
-        B = (A_tot + int_B A(x) grad W - A_ext^T int_B grad W) / |B|, where
-        column j of grad W is grad w_j. B is symmetric at the exact discrete
-        solution; G keeps the unit-slope energies on its diagonal and takes
-        (B + B^T)/2 off it. d solves on one system.
+        B = flux_average - A_ext^T int_B grad W / |B|, where column j of
+        grad W is grad w_j. B is symmetric at the exact discrete solution; G
+        keeps the unit-slope energies on its diagonal and takes (B + B^T)/2
+        off it. One block solve of the d unit slopes on one system.
         """
         exterior = np.asarray(exterior, dtype=float)
-        units = self._unit_solves(exterior)
-        grad_W = np.stack([grad_w for _, grad_w in units], axis=-1)
-        B = (self.coeff_ball_total
-             + np.einsum("eab,ebj->aj", self.coeff_ball, grad_W)
-             - exterior.T @ np.einsum("e,eaj->aj", self.vol_ball, grad_W)
-             ) / self.ball_measure
+        _, sols, grad_W = self._unit_solves(exterior)
+        mean = np.einsum("e,eaj->aj", self.vol_ball, grad_W)
+        B = self.flux_average(exterior) - exterior.T @ mean / self.ball_measure
         G = 0.5 * (B + B.T)
-        sols = [sol for sol, _ in units]
         G[np.diag_indices(self.dim)] = [sol.energy for sol in sols]
         return G, sols
 
@@ -333,29 +308,21 @@ class EmbeddedProblem:
         summed over unit slopes; the returned symmetric matrix represents
         that linear form under the Frobenius pairing.
         """
-        d = self.dim
-        value = 0.0
-        grad = np.zeros((d, d))
-        for i, (sol, grad_w) in enumerate(self._unit_solves(exterior)):
-            value += sol.energy
-            grad += np.einsum("e,ea,eb->ab", self.vol_ext, grad_w, grad_w)
-            mean_grad = self.vol_ball @ grad_w
-            outer = np.outer(np.eye(d)[i], mean_grad)
-            grad -= outer + outer.T
-        return value, grad / self.ball_measure
+        _, sols, grad_W = self._unit_solves(exterior)
+        mean = np.einsum("e,eaj->aj", self.vol_ball, grad_W)   # int_B grad W
+        grad = np.einsum("e,eai,ebi->ab", self.vol_ext, grad_W, grad_W) \
+            - mean - mean.T
+        return sum(sol.energy for sol in sols), grad / self.ball_measure
 
     def flux_average(self, exterior):
         """Ball average of the corrected flux A(x)(e_i + grad w_i), by columns.
 
         Not symmetric in general; that asymmetry is the point of keeping it.
         """
-        d = self.dim
-        out = np.empty((d, d))
-        for i, (_, grad_w) in enumerate(self._unit_solves(exterior)):
-            flux = self.coeff_ball_total[:, i] + np.einsum(
-                "eab,eb->a", self.coeff_ball, grad_w)
-            out[:, i] = flux / self.ball_measure
-        return out
+        _, _, grad_W = self._unit_solves(exterior)
+        return (self.coeff_ball_total
+                + np.einsum("eab,ebj->aj", self.coeff_ball, grad_W)
+                ) / self.ball_measure
 
     def mean_coefficient(self):
         """Arithmetic mean of the field over the ball (centroid-rule measure)."""

@@ -407,9 +407,10 @@ def sparse_lu(K):
 class LinearSolver:
     """Reusable solver for one stiffness matrix and many loads.
 
-    method "direct" factorizes once (sparse LU, see sparse_lu) and
-    back-substitutes per load (a load may be an (n, k) block of columns);
-    "cg" runs Jacobi-preconditioned conjugate gradients per load vector.
+    This is the one place the direct/CG policy lives. method "direct"
+    factorizes once (sparse LU, see sparse_lu) and back-substitutes a whole
+    load, an (n,) vector or an (n, k) block of columns, at once; "cg" runs
+    Jacobi-preconditioned conjugate gradients once per column.
     """
 
     def __init__(self, K, disc):
@@ -423,11 +424,20 @@ class LinearSolver:
             self._lu = None
 
     def solve(self, F):
+        """(x, SolveStats) with K x = F, for an (n,) or (n, k) load.
+
+        A direct solve reports 1 iteration and the relative residual of the
+        whole block; a CG block reports the summed iterations and the largest
+        relative residual of its columns.
+        """
+        if self.method == "cg":
+            runs = [solve_cg(self.K, f) for f in np.reshape(F, (len(F), -1)).T]
+            x = np.stack([x for x, _ in runs], axis=1).reshape(np.shape(F))
+            return x, SolveStats("cg", sum(s.iterations for _, s in runs),
+                                 max(s.residual for _, s in runs))
         norm_f = np.linalg.norm(F)
         if norm_f == 0.0:
-            return np.zeros(np.shape(F)), SolveStats(self.method, 0, 0.0)
-        if self.method == "direct":
-            x = self._lu.solve(F)
-            residual = float(np.linalg.norm(F - self.K @ x) / norm_f)
-            return x, SolveStats("direct", 1, residual)
-        return solve_cg(self.K, F)
+            return np.zeros(np.shape(F)), SolveStats("direct", 0, 0.0)
+        x = self._lu.solve(F)
+        residual = float(np.linalg.norm(F - self.K @ x) / norm_f)
+        return x, SolveStats("direct", 1, residual)

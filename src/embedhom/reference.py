@@ -163,15 +163,15 @@ class Harmonic1DModel:
 def periodic_effective(field, R=1.0, divisions=64):
     """Homogenized matrix of x -> field(R x) from the periodic cell problem.
 
-    Solves, for each unit slope, the corrector on Q = (-1/2, 1/2)^d with
-    periodic boundary conditions (P1 elements, one pinned vertex), and
-    returns the averaged corrected flux by columns. The coefficient is
-    sampled at element centroids, which lie off the element edges, so
-    microstructures whose interfaces lie on mesh lines (laminates,
-    checkerboards with divisions a multiple of R) are reduced exactly; aligned
-    laminates then reproduce the harmonic/arithmetic diagonal to solver
-    precision. This is the reference the embedded estimators are compared
-    against at matching R.
+    Solves the correctors of the d unit slopes, as one load block, on
+    Q = (-1/2, 1/2)^d with periodic boundary conditions (P1 elements, one
+    pinned vertex), and returns the averaged corrected flux by columns. The
+    coefficient is sampled at element centroids, which lie off the element
+    edges, so microstructures whose interfaces lie on mesh lines (laminates,
+    checkerboards with divisions a multiple of R) are reduced exactly;
+    aligned laminates then reproduce the harmonic/arithmetic diagonal to
+    solver precision. This is the reference the embedded estimators are
+    compared against at matching R.
     """
     if field.dim not in (1, 2):
         raise GeometryError("periodic reference supports dim 1 or 2")
@@ -196,13 +196,10 @@ def periodic_effective(field, R=1.0, divisions=64):
     lu = sparse_lu(assemble_stiffness(
         mesh, reduced, scatter_plan(mesh.elements, dof_map, n_dofs)))
 
-    d = field.dim
-    out = np.empty((d, d))
-    total = reduced.sum(axis=0)          # int_Q A(Rx) dx, |Q| = 1
-    for k in range(d):
-        cell_loads = -np.einsum("eld,ed->el", mesh.grads, reduced[:, :, k])
-        x = lu.solve(scatter_vector(dofs, n_dofs, cell_loads))
-        w = np.append(x, 0.0)[dofs]     # dof -1 reads the pinned zero
-        grad_w = np.einsum("eld,el->ed", mesh.grads, w)
-        out[:, k] = total[:, k] + np.einsum("eab,eb->a", reduced, grad_w)
-    return out
+    # the d unit slopes as one (n_dofs, d) load block, one back-substitution
+    cell_loads = -np.einsum("eld,edk->elk", mesh.grads, reduced)
+    X = lu.solve(scatter_vector(dofs, n_dofs, cell_loads))
+    W = np.vstack([X, np.zeros(field.dim)])[dofs]   # dof -1: the pinned zero
+    grad_W = np.einsum("eld,elk->edk", mesh.grads, W)
+    # int_Q A(Rx) dx, |Q| = 1, plus the corrector flux, by columns
+    return reduced.sum(axis=0) + np.einsum("eab,ebk->ak", reduced, grad_W)

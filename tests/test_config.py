@@ -270,6 +270,12 @@ def test_sweep_validation():
     with pytest.raises(ConfigError) as exc:
         parse(MINIMAL + "sweep:\n  parameter: seed\n  values: [1, 2]\n")
     assert "deterministic" in str(exc.value)
+    # numerically equal points, however written, would share a report file
+    for values, bad in (("[2, 2, 2.0]", 1), ("[2.0, 4, 2]", 2)):
+        with pytest.raises(ConfigError) as exc:
+            parse(SWEEPABLE + f"sweep:\n  parameter: R\n  values: {values}\n")
+        msg = str(exc.value)
+        assert f"sweep.values.{bad} (line 10)" in msg and "repeats" in msg
 
 
 def test_seed_override_only_for_random_kinds():

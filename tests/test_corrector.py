@@ -175,18 +175,20 @@ def test_system_cache_and_solve_count():
     assert prob.system(ext) is prob.system(ext.copy())
     assert prob.factorization_count == 1
     before = prob.solve_count
+    # the d unit slopes are one load block, so one solve
     prob.energy_matrix(ext)
-    assert prob.solve_count - before == 2
+    assert prob.solve_count - before == 1
     # a second evaluation at ext returns the unit solves already held
     prob.flux_average(ext)
     prob.energy_matrix(ext)
-    assert prob.solve_count - before == 2
+    assert prob.solve_count - before == 1
     # the derivatives reuse the factorization and the unit solves at ext:
-    # the Jacobian costs no solve, the Hessian one block solve a unit slope
+    # the Jacobian costs no solve, the Hessian one block solve of all d*m
+    # residual columns
     prob.energy_jacobian(ext)
-    assert prob.solve_count - before == 2
+    assert prob.solve_count - before == 1
     prob.trace_hessian(ext)
-    assert prob.solve_count - before == 4
+    assert prob.solve_count - before == 2
     assert prob.factorization_count == 1
     prob.trace_objective(3.0 * np.eye(2))
     assert prob.factorization_count == 2
@@ -224,15 +226,17 @@ def test_derivatives_match_central_differences(dim):
                        np.einsum("kab,ab->k", basis, grad), atol=1e-14)
 
 
-def test_hessian_on_cg_path_solves_column_by_column():
+def test_hessian_on_cg_path_is_one_block_solve():
     field = make_checkerboard([1.0, 4.0], [0.5, 0.5], seed=3, bounds=BOUNDS)
     A = np.array([[2.0, 0.3], [0.3, 1.7]])
     direct = checkerboard_problem(seed=3).trace_hessian(A)
     prob = EmbeddedProblem(field, Discretization(dim=2, L=2.0, h=0.1,
                                                  solver="cg"))
     H = prob.trace_hessian(A)
-    # two unit solves, then one CG solve per unit slope and direction
-    assert prob.solve_count == 2 + 2 * 3
+    # one block of the unit slopes, then one block of every residual column;
+    # LinearSolver runs CG once per column inside each
+    assert prob.system(A).method == "cg"
+    assert prob.solve_count == 2
     assert np.allclose(H, direct, rtol=0.0, atol=1e-8)
 
 

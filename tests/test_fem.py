@@ -357,6 +357,16 @@ def test_solver_policy_respects_override():
     assert stats.method == "cg"
     assert np.linalg.norm(F - K @ x) <= CG_TOL * np.linalg.norm(F)
     assert K.shape[0] < DIRECT_DOF_CAP  # sanity: auto picked direct above
+    # an (n, k) block runs CG once per column, a zero column included
+    block = np.stack([F, np.zeros_like(F), -2.0 * F + 1.0], axis=1)
+    X, block_stats = forced.solve(block)
+    X_lu, _ = LinearSolver(K, disc).solve(block)
+    assert X.shape == block.shape
+    assert np.allclose(X, X_lu, rtol=0.0, atol=1e-8 * np.abs(X_lu).max())
+    runs = [solve_cg(K, f)[1] for f in block.T]
+    assert block_stats.method == "cg"
+    assert block_stats.iterations == sum(s.iterations for s in runs) > 0
+    assert block_stats.residual == max(s.residual for s in runs)
 
 
 def test_zero_load_short_circuits():
